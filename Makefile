@@ -57,9 +57,8 @@ compression-bench:
 	PYTHONPATH=src python -m repro.cli bench --case compression \
 		--suite compression
 
-# Query-serving tier: result-cache/process-pool bit-identity and
-# throughput lines plus the served zipf multi-tenant workload
-# (docs/serving.md).
+# Query-serving tier: result-cache bit-identity and throughput lines
+# plus the served zipf multi-tenant workload (docs/serving.md).
 serving-bench:
 	PYTHONPATH=src python -m repro.cli bench --case serving \
 		--suite serving

@@ -34,7 +34,7 @@ class TestFigure1:
             )
             simple = SimpleBitmapIndex(table, "A")
             encoded = EncodedBitmapIndex(
-                table, "A", mapping=mapping,
+                table, "A", encoding=mapping,
                 void_mode="vector", null_mode="vector",
             )
             return table, simple, encoded
@@ -75,7 +75,7 @@ class TestFigure2:
             [("a", 0b00), ("b", 0b01), ("c", 0b10)], width=2
         )
         index = EncodedBitmapIndex(
-            table, "A", mapping=mapping, void_mode="vector"
+            table, "A", encoding=mapping, void_mode="vector"
         )
         table.attach(index)
         table.append({"A": "d"})  # Figure 2(a)

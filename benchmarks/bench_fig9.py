@@ -35,7 +35,7 @@ def _aligned_index(table):
         [(value, value) for value in values]
     )
     return EncodedBitmapIndex(
-        table, "v", mapping=mapping, void_mode="vector",
+        table, "v", encoding=mapping, void_mode="vector",
         null_mode="vector",
     )
 

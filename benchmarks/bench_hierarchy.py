@@ -122,7 +122,7 @@ class TestRollupLatency:
             table.append({"branch": value})
         mapping = hierarchy_encoding(salespoint, seed=0)
         index = EncodedBitmapIndex(
-            table, "branch", mapping=mapping, void_mode="vector"
+            table, "branch", encoding=mapping, void_mode="vector"
         )
         members = sorted(salespoint.base_members("alliance", "X"))
         predicate = InList("branch", members)
@@ -169,7 +169,7 @@ class TestOlapSession:
             totals = {}
             for name, mapping in encodings.items():
                 index = EncodedBitmapIndex(
-                    table, "branch", mapping=mapping,
+                    table, "branch", encoding=mapping,
                     void_mode="vector",
                 )
                 total = 0

@@ -89,7 +89,7 @@ class TestActualRebuild:
             "t", n, {"v": uniform_column(n, 32, seed=5)}
         )
         bad = random_encoding(DOMAIN, seed=77)
-        index = EncodedBitmapIndex(table, "v", mapping=bad)
+        index = EncodedBitmapIndex(table, "v", encoding=bad)
 
         costs_before = []
         for predicate_values in NEW_PREDICATES:

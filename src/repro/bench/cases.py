@@ -1288,7 +1288,7 @@ def case_compression(tolerance: float, *, n: int) -> List[Comparison]:
 
 
 # ---------------------------------------------------------------------------
-# serving tier: result cache + process pool + multi-tenant zipf workload
+# serving tier: result cache + multi-tenant zipf workload
 # ---------------------------------------------------------------------------
 
 #: Reads measured per execution path in the CPU-bound mix.
@@ -1308,12 +1308,11 @@ def case_serving(tolerance: float, *, rows: int) -> CaseOutcome:
     Three segments over one zipf-skewed multi-tenant workload
     (:class:`repro.serving.workload.SyntheticWorkload`):
 
-    1. **Bit-identity** — the result cache's warm hits and the
-       process-pool backend must answer bit-identically (rows *and*
-       ``c_e``) to uncached thread-pool execution.
+    1. **Bit-identity** — the result cache's warm hits must answer
+       bit-identically (rows *and* ``c_e``) to uncached execution.
     2. **CPU-bound mix** — single-query throughput of the uncached
-       thread pool vs the process pool vs the result cache; the
-       cached and process paths must each beat the thread baseline.
+       thread pool vs the result cache; the cached path must beat
+       the thread baseline.
     3. **Served workload** — the same mix driven through a live
        :class:`repro.serving.Server` (reads submitted per tenant,
        appends invalidating the cache mid-stream); queries/sec plus
@@ -1321,7 +1320,6 @@ def case_serving(tolerance: float, *, rows: int) -> CaseOutcome:
     """
     from repro.database import Database
     from repro.obs.metrics import get_registry
-    from repro.serving.result_cache import results_identical
     from repro.serving.server import Server
     from repro.serving.workload import ReadOp, SyntheticWorkload
 
@@ -1339,7 +1337,6 @@ def case_serving(tolerance: float, *, rows: int) -> CaseOutcome:
     predicates = [op.predicate for op in reads]
 
     thread_opts = QueryOptions(workers=4, use_cache=False)
-    process_opts = QueryOptions(backend="process", use_cache=False)
     cached_opts = QueryOptions(workers=4, use_cache=True)
     comparisons: List[Comparison] = []
     try:
@@ -1348,9 +1345,6 @@ def case_serving(tolerance: float, *, rows: int) -> CaseOutcome:
         for p in predicates:  # cold pass fills the cache
             db.query(table, p, cached_opts)
         warm = [db.query(table, p, cached_opts) for p in predicates]
-        via_process = [
-            db.query(table, p, process_opts) for p in predicates
-        ]
         row_mismatches = sum(
             1
             for u, w in zip(uncached, warm)
@@ -1363,11 +1357,6 @@ def case_serving(tolerance: float, *, rows: int) -> CaseOutcome:
             if u.cost.vectors_accessed != w.cost.vectors_accessed
         )
         cache_misses = sum(1 for w in warm if not w.cached)
-        process_mismatches = sum(
-            1
-            for u, v in zip(uncached, via_process)
-            if not results_identical(u, v)
-        )
         comparisons.extend(
             [
                 compare(
@@ -1391,13 +1380,6 @@ def case_serving(tolerance: float, *, rows: int) -> CaseOutcome:
                     unit="queries",
                     tolerance=tolerance,
                 ),
-                compare(
-                    "process vs thread mismatches (rows or c_e)",
-                    process_mismatches,
-                    0,
-                    unit="queries",
-                    tolerance=tolerance,
-                ),
             ]
         )
 
@@ -1411,7 +1393,6 @@ def case_serving(tolerance: float, *, rows: int) -> CaseOutcome:
         walls: Dict[str, float] = {}
         for label, opts in (
             ("thread", thread_opts),
-            ("process", process_opts),
             ("cached", cached_opts),
         ):
             best = loop_wall(opts)
@@ -1421,25 +1402,15 @@ def case_serving(tolerance: float, *, rows: int) -> CaseOutcome:
         qps = {
             label: SERVING_READS / wall for label, wall in walls.items()
         }
-        comparisons.extend(
-            [
-                compare(
-                    "result-cache q/s vs uncached thread q/s",
-                    qps["cached"],
-                    qps["thread"],
-                    mode="ge",
-                    unit="q/s",
-                    tolerance=tolerance,
-                ),
-                compare(
-                    "process-pool q/s vs uncached thread q/s",
-                    qps["process"],
-                    qps["thread"],
-                    mode="ge",
-                    unit="q/s",
-                    tolerance=tolerance,
-                ),
-            ]
+        comparisons.append(
+            compare(
+                "result-cache q/s vs uncached thread q/s",
+                qps["cached"],
+                qps["thread"],
+                mode="ge",
+                unit="q/s",
+                tolerance=tolerance,
+            )
         )
 
         # -- segment 3: served zipf multi-tenant read/write -------------
@@ -1492,7 +1463,6 @@ def case_serving(tolerance: float, *, rows: int) -> CaseOutcome:
         )
         registry = get_registry()
         registry.gauge("serving.bench.thread_qps").set(qps["thread"])
-        registry.gauge("serving.bench.process_qps").set(qps["process"])
         registry.gauge("serving.bench.cached_qps").set(qps["cached"])
         registry.gauge("serving.bench.served_qps").set(served_qps)
         latency = {
@@ -1897,7 +1867,7 @@ def compression_case(
 #: Row counts for the serving case per suite flavor.  Small tables
 #: keep per-query compute sub-millisecond, which is the serving
 #: regime: fixed per-call overhead (thread-pool creation on the
-#: thread baseline, IPC on the process pool) decides the ranking.
+#: thread baseline) decides the ranking.
 SERVING_SMOKE_ROWS = 20_480
 SERVING_FULL_ROWS = 65_536
 
@@ -1914,8 +1884,8 @@ def serving_case(
     return BenchCase(
         name="serving_smoke" if quick else "serving_64k",
         description=(
-            f"query-serving tier over {n} rows: result-cache and "
-            "process-pool throughput vs the uncached thread pool, "
+            f"query-serving tier over {n} rows: result-cache "
+            "throughput vs the uncached thread pool, "
             "bit-identity (rows and c_e), and served qps/p50/p99 "
             "under a zipf multi-tenant read/write workload "
             "(docs/serving.md)"

@@ -358,9 +358,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                         server.submit(
                             workload.TABLE,
                             op.predicate,
-                            options=QueryOptions(
-                                tenant=op.tenant, backend=args.backend
-                            ),
+                            options=QueryOptions(tenant=op.tenant),
                         )
                     )
                 except (
@@ -389,7 +387,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"served {workload.TABLE!r} on {workload.COLUMN!r} "
         f"(policy={args.policy}, workers={args.workers}, "
-        f"backend={args.backend}, "
         f"cache={'off' if args.no_cache else 'on'}):"
     )
     print(
@@ -623,12 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("reject", "block", "shed"),
         default="block",
         help="admission policy when the queue is full (default block)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="partition-executor backend for served queries",
     )
     p_serve.add_argument(
         "--timeout",

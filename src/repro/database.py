@@ -73,9 +73,9 @@ from repro.index.verify import repair as repair_index
 from repro.obs.metrics import MetricsRegistry
 from repro.query.executor import Executor, QueryResult
 from repro.query.options import (
+    DEFAULT_OPTIONS,
     QueryOptions,
     kernel_override,
-    resolve_options,
 )
 from repro.query.predicates import Predicate
 from repro.query.snapshot import pinned_rows, published_rows
@@ -339,22 +339,20 @@ class Database:
         table_name: str,
         predicate: Predicate,
         options: Optional[QueryOptions] = None,
-        **legacy: Any,
     ) -> QueryResult:
         """Plan and run one selection.
 
         Everything per-call travels in
-        :class:`~repro.query.options.QueryOptions` (the old bare
-        ``workers=`` / ``trace=`` keywords are deprecated shims):
-        worker count and backend for partitioned tables (which return
-        a :class:`~repro.shard.executor.PartitionedQueryResult`),
+        :class:`~repro.query.options.QueryOptions`: worker count for
+        partitioned tables (which return a
+        :class:`~repro.shard.executor.PartitionedQueryResult`),
         kernel override, snapshot pin, timeout, tenant stamp — and
         ``use_cache=True``, which serves repeat retrievals from
         :attr:`result_cache` bit-identically (rows *and* ``c_e``) to
         uncached execution.  Traced or snapshot-pinned queries bypass
         the cache.
         """
-        opts = resolve_options(options, legacy, where="query")
+        opts = options if options is not None else DEFAULT_OPTIONS
         start = time.perf_counter()
         key: Optional[CacheKey] = None
         epoch = 0
@@ -415,20 +413,17 @@ class Database:
         table_name: str,
         predicates: Sequence[Predicate],
         options: Optional[QueryOptions] = None,
-        **legacy: Any,
     ) -> List[QueryResult]:
-        """Run a batch of selections, sharing leaf-vector reads.
+        """Run a batch of selections against one row snapshot.
 
-        The whole batch is planned up front; every query in it
-        shares one leaf-vector cache, so two queries selecting on
-        the same leaf predicate pay its index read once (for
-        partitioned tables this happens per partition, inside
-        :meth:`~repro.shard.executor.ParallelExecutor.execute_many`).
-        Per-call configuration travels in ``options`` exactly as for
-        :meth:`query`; the batch never consults the result cache —
-        its own leaf sharing is the batch-shaped equivalent.
+        The whole batch is evaluated under one pinned row watermark
+        (for partitioned tables, per partition inside
+        :meth:`~repro.shard.executor.ParallelExecutor.execute_many`),
+        so every answer sees the same rows.  Per-call configuration
+        travels in ``options`` exactly as for :meth:`query`; the batch
+        never consults the result cache.
         """
-        opts = resolve_options(options, legacy, where="query_many")
+        opts = options if options is not None else DEFAULT_OPTIONS
         predicates = list(predicates)
         if table_name in self._partitioned:
             return list(
@@ -447,13 +442,12 @@ class Database:
             stack.enter_context(
                 pinned_rows(table, rows=opts.snapshot_rows)
             )
-            plans = executor.planner.plan_many(table, predicates)
-            leaf_cache: Dict[Predicate, Any] = {}
             return [
                 executor.execute(
-                    plan, trace=opts.trace, leaf_cache=leaf_cache
+                    executor.planner.plan(table, predicate),
+                    trace=opts.trace,
                 )
-                for plan in plans
+                for predicate in predicates
             ]
 
     # ------------------------------------------------------------------
@@ -648,7 +642,6 @@ class Database:
         table_name: str,
         predicate: Predicate,
         options: Optional[QueryOptions] = None,
-        **legacy: Any,
     ) -> str:
         """EXPLAIN without reading any vectors.
 
@@ -658,7 +651,7 @@ class Database:
         can reuse one), though planning only consults the kernel
         override.
         """
-        opts = resolve_options(options, legacy, where="explain")
+        opts = options if options is not None else DEFAULT_OPTIONS
         with kernel_override(opts.use_kernels):
             if table_name in self._partitioned:
                 return self._executor(table_name).explain(predicate)
@@ -673,20 +666,15 @@ class Database:
             executor = self._executors.get(table_name)
         if executor is not None:
             return executor
-        # Build outside the lock (executor construction spins up a
-        # worker pool); first-one-in wins on concurrent misses.
+        # Build outside the lock (the residency manager may be built
+        # on first use); first-one-in wins on concurrent misses.
         built = ParallelExecutor(
             self._partitioned[table_name],
             registry=self.registry,
             residency=self._residency_for(table_name),
         )
         with self._lock:
-            executor = self._executors.setdefault(table_name, built)
-        if executor is not built:
-            # Lost the race: release the just-built executor's backend
-            # resources instead of leaking a process pool.
-            built.close()
-        return executor
+            return self._executors.setdefault(table_name, built)
 
     # ------------------------------------------------------------------
     # out-of-core residency (docs/out_of_core.md)
@@ -761,19 +749,15 @@ class Database:
         return self._epoch(table_name)
 
     def close(self) -> None:
-        """Release executor backends (worker-process pools, spill
-        directories), residency plane files, the result cache and the
-        WAL.  Idempotent — a second ``close()`` is a no-op, including
+        """Release cached executors, residency plane files, the result
+        cache and the WAL.  Idempotent — a second ``close()`` is a no-op, including
         via ``with``-statement exit after an explicit close.  The
         database object itself remains queryable: executors and
         residency managers are rebuilt lazily if used again."""
         with self._lock:
-            executors = list(self._executors.values())
             self._executors.clear()
             managers = list(self._residency.values())
             self._residency.clear()
-        for executor in executors:
-            executor.close()
         for manager in managers:
             manager.close()
         # ResultCache mutates under its own internal lock; the

@@ -172,15 +172,6 @@ class QueryTimeoutError(QueryError):
         self.timeout_seconds = timeout_seconds
 
 
-class WorkerCrashError(QueryError):
-    """A process-pool worker died mid-query.
-
-    Raised by the ``process`` execution backend when a worker process
-    exits (or its pipe breaks) before returning its partition results.
-    The strategy tears the pool down; the next query rebuilds it.
-    """
-
-
 class ServingError(ReproError):
     """Errors from the query-serving tier (``repro.serving``)."""
 

@@ -15,9 +15,8 @@ directly.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.bitmap.bitvector import BitVector
 from repro.errors import UnsupportedPredicateError
@@ -46,53 +45,6 @@ class LookupCost:
 
     def total_accesses(self) -> int:
         return self.vectors_accessed + self.node_accesses
-
-
-def deprecated_positionals(
-    class_name: str,
-    args: Tuple[Any, ...],
-    names: Sequence[str],
-) -> Dict[str, Any]:
-    """Shim for pre-normalization positional constructor arguments.
-
-    Index constructors accept ``(table, column_name)`` positionally;
-    everything else is keyword-only since the signature normalization
-    (``encoding=``, ``store=``, ``registry=`` in that order, then
-    kind-specific options).  Old call sites that still pass extras
-    positionally land here: the values are mapped onto their keyword
-    names and a :class:`DeprecationWarning` fires (ebilint rule EBI206
-    flags such calls in-repo).
-    """
-    if not args:
-        return {}
-    if len(args) > len(names):
-        raise TypeError(
-            f"{class_name} takes at most {2 + len(names)} positional "
-            f"arguments ({2 + len(args)} given)"
-        )
-    shown = ", ".join(f"{name}=" for name in names[: len(args)])
-    warnings.warn(
-        f"{class_name}: positional arguments beyond "
-        f"(table, column_name) are deprecated; pass {shown} as "
-        f"keyword(s)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return dict(zip(names, args))
-
-
-def deprecated_keyword(
-    class_name: str, old: str, new: str, value: Any
-) -> Any:
-    """Warn-and-forward for a renamed keyword (``mapping=`` ->
-    ``encoding=``); returns ``value`` so callers can assign it."""
-    warnings.warn(
-        f"{class_name}: the {old}= keyword is deprecated; "
-        f"use {new}=",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return value
 
 
 @dataclass

@@ -11,11 +11,11 @@ significant slice down — no IN-list rewrite, at the cost of touching
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.bitmap.bitvector import BitVector
 from repro.encoding.total_order import bit_slice_encoding
-from repro.index.base import LookupCost, deprecated_positionals
+from repro.index.base import LookupCost
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.obs.metrics import MetricsRegistry
 from repro.query.predicates import Predicate, Range
@@ -31,16 +31,10 @@ class BitSlicedIndex(EncodedBitmapIndex):
         self,
         table: Table,
         column_name: str,
-        *args: Any,
+        *,
         registry: Optional[MetricsRegistry] = None,
         use_slice_algorithm: bool = True,
     ) -> None:
-        legacy = deprecated_positionals(
-            type(self).__name__, args, ("use_slice_algorithm",)
-        )
-        use_slice_algorithm = legacy.get(
-            "use_slice_algorithm", use_slice_algorithm
-        )
         column = table.column(column_name)
         mapping = bit_slice_encoding(
             column.distinct_values(), reserve_void_zero=True

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bitmap.bitvector import BitVector
 from repro.errors import UnsupportedPredicateError
-from repro.index.base import Index, LookupCost, deprecated_positionals
+from repro.index.base import Index, LookupCost
 from repro.obs.metrics import MetricsRegistry
 from repro.query.predicates import Equals, InList, IsNull, Predicate, Range
 from repro.storage.page import PAGE_SIZE_DEFAULT
@@ -64,20 +64,12 @@ class BPlusTreeIndex(Index):
         self,
         table: Table,
         column_name: str,
-        *args: Any,
+        *,
         registry: Optional[MetricsRegistry] = None,
         page_size: int = PAGE_SIZE_DEFAULT,
         fanout: Optional[int] = None,
         stats_io: Optional[IOStatistics] = None,
     ) -> None:
-        legacy = deprecated_positionals(
-            type(self).__name__,
-            args,
-            ("page_size", "fanout", "stats_io"),
-        )
-        page_size = legacy.get("page_size", page_size)
-        fanout = legacy.get("fanout", fanout)
-        stats_io = legacy.get("stats_io", stats_io)
         super().__init__(table, column_name, registry=registry)
         self.page_size = page_size
         self.fanout = (

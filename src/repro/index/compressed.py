@@ -20,7 +20,6 @@ from repro.errors import UnsupportedPredicateError
 from repro.index.base import (
     Index,
     LookupCost,
-    deprecated_positionals,
     range_values,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -37,13 +36,9 @@ class CompressedBitmapIndex(Index):
         self,
         table: Table,
         column_name: str,
-        *args: Any,
+        *,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        legacy = deprecated_positionals(
-            type(self).__name__, args, ("registry",)
-        )
-        registry = legacy.get("registry", registry)
         super().__init__(table, column_name, registry=registry)
         self._vectors: Dict[Any, RunLengthBitmap] = {}
         self._null_vector = RunLengthBitmap(len(table))

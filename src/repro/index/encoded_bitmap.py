@@ -37,8 +37,6 @@ from repro.faults.crash import crash_point
 from repro.index.base import (
     Index,
     LookupCost,
-    deprecated_keyword,
-    deprecated_positionals,
     range_values,
 )
 from repro.kernels import (
@@ -70,7 +68,6 @@ class EncodedBitmapIndex(Index):
         :func:`~repro.encoding.heuristics.encode_for_predicates` or a
         hierarchy/total-order/range encoding).  When omitted, a
         sequential encoding of the column's current domain is used.
-        (``mapping=`` is the deprecated spelling.)
     registry:
         Optional metrics registry for this index's lookups; defaults
         to the calling thread's current registry per lookup.
@@ -111,7 +108,7 @@ class EncodedBitmapIndex(Index):
         self,
         table: Table,
         column_name: str,
-        *args: Any,
+        *,
         encoding: Optional[MappingTable] = None,
         registry: Optional[MetricsRegistry] = None,
         void_mode: str = "encode",
@@ -119,21 +116,7 @@ class EncodedBitmapIndex(Index):
         exact_reduction: bool = True,
         use_kernels: bool = True,
         plane_format: str = "packed",
-        mapping: Optional[MappingTable] = None,
     ) -> None:
-        legacy = deprecated_positionals(
-            type(self).__name__,
-            args,
-            ("encoding", "void_mode", "null_mode", "exact_reduction"),
-        )
-        encoding = legacy.get("encoding", encoding)
-        void_mode = legacy.get("void_mode", void_mode)
-        null_mode = legacy.get("null_mode", null_mode)
-        exact_reduction = legacy.get("exact_reduction", exact_reduction)
-        if mapping is not None:
-            encoding = deprecated_keyword(
-                type(self).__name__, "mapping", "encoding", mapping
-            )
         super().__init__(table, column_name, registry=registry)
         if void_mode not in ("encode", "vector"):
             raise InvalidArgumentError(f"bad void_mode {void_mode!r}")

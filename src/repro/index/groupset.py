@@ -24,8 +24,6 @@ from repro.errors import IndexBuildError
 from repro.index.base import (
     IndexStatistics,
     LookupCost,
-    deprecated_keyword,
-    deprecated_positionals,
 )
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.obs.metrics import MetricsRegistry
@@ -44,7 +42,7 @@ class GroupSetIndex:
         Grouping attributes, in GROUP BY order.
     encodings:
         Optional per-column :class:`MappingTable` overrides (e.g.
-        hierarchy encodings).  ``mappings=`` is the deprecated alias.
+        hierarchy encodings).
     """
 
     kind = "group-set"
@@ -53,21 +51,12 @@ class GroupSetIndex:
         self,
         table: Table,
         column_names: Sequence[str],
-        *args: Any,
+        *,
         encodings: Optional[Dict[str, MappingTable]] = None,
         registry: Optional[MetricsRegistry] = None,
-        mappings: Optional[Dict[str, MappingTable]] = None,
     ) -> None:
         if not column_names:
             raise IndexBuildError("group-set index needs >= 1 column")
-        legacy = deprecated_positionals(
-            type(self).__name__, args, ("encodings",)
-        )
-        encodings = legacy.get("encodings", encodings)
-        if mappings is not None:
-            encodings = deprecated_keyword(
-                type(self).__name__, "mappings", "encodings", mappings
-            )
         self.table = table
         self.column_names = list(column_names)
         encodings = encodings or {}

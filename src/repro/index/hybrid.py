@@ -22,7 +22,6 @@ from repro.errors import InvalidArgumentError, UnsupportedPredicateError
 from repro.index.base import (
     Index,
     LookupCost,
-    deprecated_positionals,
     range_values,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -53,16 +52,10 @@ class HybridBitmapBTreeIndex(Index):
         self,
         table: Table,
         column_name: str,
-        *args: Any,
+        *,
         registry: Optional[MetricsRegistry] = None,
         sparsity_threshold: float = 1.0 / 32.0,
     ) -> None:
-        legacy = deprecated_positionals(
-            type(self).__name__, args, ("sparsity_threshold",)
-        )
-        sparsity_threshold = legacy.get(
-            "sparsity_threshold", sparsity_threshold
-        )
         super().__init__(table, column_name, registry=registry)
         if not 0.0 < sparsity_threshold <= 1.0:
             raise InvalidArgumentError(

@@ -25,8 +25,6 @@ from repro.errors import SchemaError
 from repro.index.base import (
     IndexStatistics,
     LookupCost,
-    deprecated_keyword,
-    deprecated_positionals,
 )
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.obs.metrics import MetricsRegistry
@@ -46,7 +44,6 @@ class BitmapJoinIndex:
     encoding:
         Optional encoding for the fact-side encoded bitmap index
         (e.g. a hierarchy encoding over the dimension keys).
-        ``mapping=`` is the deprecated alias.
     """
 
     kind = "bitmap-join"
@@ -57,23 +54,14 @@ class BitmapJoinIndex:
         fact_column: str,
         dimension: Table,
         dimension_key: str,
-        *args: Any,
+        *,
         encoding: Optional[MappingTable] = None,
         registry: Optional[MetricsRegistry] = None,
-        mapping: Optional[MappingTable] = None,
     ) -> None:
         if dimension_key not in dimension:
             raise SchemaError(
                 f"dimension {dimension.name!r} has no column "
                 f"{dimension_key!r}"
-            )
-        legacy = deprecated_positionals(
-            type(self).__name__, args, ("encoding",)
-        )
-        encoding = legacy.get("encoding", encoding)
-        if mapping is not None:
-            encoding = deprecated_keyword(
-                type(self).__name__, "mapping", "encoding", mapping
             )
         self.fact = fact
         self.fact_column = fact_column

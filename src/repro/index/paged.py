@@ -16,7 +16,7 @@ from repro.bitmap.bitvector import BitVector
 from repro.boolean.evaluator import AccessCounter, evaluate_dnf
 from repro.boolean.reduction import ReducedFunction
 from repro.encoding.mapping import MappingTable
-from repro.index.base import LookupCost, deprecated_positionals
+from repro.index.base import LookupCost
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.index.simple_bitmap import SimpleBitmapIndex
 from repro.storage.page import PAGE_SIZE_DEFAULT
@@ -38,21 +38,13 @@ class PagedEncodedBitmapIndex(EncodedBitmapIndex):
         self,
         table: Table,
         column_name: str,
-        *args: Any,
+        *,
         encoding: Optional[MappingTable] = None,
         store: Optional[PagedVectorStore] = None,
         page_size: int = PAGE_SIZE_DEFAULT,
         pool_capacity: int = 64,
         **kwargs: Any,
     ) -> None:
-        legacy = deprecated_positionals(
-            type(self).__name__,
-            args,
-            ("encoding", "page_size", "pool_capacity"),
-        )
-        encoding = legacy.get("encoding", encoding)
-        page_size = legacy.get("page_size", page_size)
-        pool_capacity = legacy.get("pool_capacity", pool_capacity)
         self._store: Optional[PagedVectorStore] = None
         super().__init__(table, column_name, encoding=encoding, **kwargs)
         # A caller-supplied store lets each partition of a
@@ -136,17 +128,12 @@ class PagedSimpleBitmapIndex(SimpleBitmapIndex):
         self,
         table: Table,
         column_name: str,
-        *args: Any,
+        *,
         store: Optional[PagedVectorStore] = None,
         page_size: int = PAGE_SIZE_DEFAULT,
         pool_capacity: int = 64,
         **kwargs: Any,
     ) -> None:
-        legacy = deprecated_positionals(
-            type(self).__name__, args, ("page_size", "pool_capacity")
-        )
-        page_size = legacy.get("page_size", page_size)
-        pool_capacity = legacy.get("pool_capacity", pool_capacity)
         self._store: Optional[PagedVectorStore] = None
         super().__init__(table, column_name, **kwargs)
         self._store = (

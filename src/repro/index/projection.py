@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.bitmap.bitvector import BitVector
 from repro.errors import UnsupportedPredicateError
-from repro.index.base import Index, LookupCost, deprecated_positionals
+from repro.index.base import Index, LookupCost
 from repro.obs.metrics import MetricsRegistry
 from repro.query.predicates import Equals, InList, IsNull, Predicate, Range
 from repro.storage.page import PAGE_SIZE_DEFAULT
@@ -32,14 +32,10 @@ class ProjectionIndex(Index):
         self,
         table: Table,
         column_name: str,
-        *args: Any,
+        *,
         registry: Optional[MetricsRegistry] = None,
         page_size: int = PAGE_SIZE_DEFAULT,
     ) -> None:
-        legacy = deprecated_positionals(
-            type(self).__name__, args, ("page_size",)
-        )
-        page_size = legacy.get("page_size", page_size)
         super().__init__(table, column_name, registry=registry)
         self.page_size = page_size
         self._values: List[Any] = []

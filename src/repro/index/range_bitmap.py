@@ -19,7 +19,7 @@ from repro.errors import (
     InvalidArgumentError,
     UnsupportedPredicateError,
 )
-from repro.index.base import Index, LookupCost, deprecated_positionals
+from repro.index.base import Index, LookupCost
 from repro.obs.metrics import MetricsRegistry
 from repro.query.predicates import Equals, InList, IsNull, Predicate, Range
 from repro.table.table import Table
@@ -34,14 +34,10 @@ class RangeBitmapIndex(Index):
         self,
         table: Table,
         column_name: str,
-        *args: Any,
+        *,
         registry: Optional[MetricsRegistry] = None,
         buckets: int = 16,
     ) -> None:
-        legacy = deprecated_positionals(
-            type(self).__name__, args, ("buckets",)
-        )
-        buckets = legacy.get("buckets", buckets)
         super().__init__(table, column_name, registry=registry)
         if buckets < 1:
             raise InvalidArgumentError(f"buckets must be >= 1, got {buckets}")

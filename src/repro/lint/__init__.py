@@ -30,7 +30,6 @@ from repro.lint.runner import Report, lint_file, lint_paths, lint_source
 # Importing the rule modules populates the registry.
 from repro.lint import (  # noqa: E402,F401  (registry side effect)
     concurrency,
-    rules_api,
     rules_paper,
     rules_perf,
     rules_robustness,

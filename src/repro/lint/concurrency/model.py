@@ -64,7 +64,6 @@ TAG_SHARED_READONLY = "shared-readonly"
 TAG_VERSIONED = "versioned"
 TAG_THREAD_LOCAL = "thread-local"
 TAG_WORKER_ENTRY = "worker-entry"
-TAG_PROCESS_ENTRY = "process-entry"
 
 #: Method names treated as mutating their receiver when called as
 #: ``self.attr.<name>(...)`` (or on a local alias of ``self.attr``).
@@ -261,11 +260,6 @@ class MethodInfo:
     calls: List[CallSite] = field(default_factory=list)
     version_accesses: List[VersionAccess] = field(default_factory=list)
     worker_entry: bool = False
-    #: ``# ebi: process-entry``: the function is submitted to a
-    #: *process* pool.  Spawned workers share no memory with the
-    #: parent's threads, so the thread-shared-state analysis must not
-    #: treat the submit target as a thread worker entry.
-    process_entry: bool = False
     #: Effects computed by the transitive fixpoint.
     effects: Set[str] = field(default_factory=set)
     #: Locks acquired here or in any (transitive) callee.
@@ -796,9 +790,6 @@ def build_model(contexts: Sequence[LintContext]) -> ProgramModel:
                 info.worker_entry = _has_tag(
                     ctx, node, TAG_WORKER_ENTRY
                 )
-                info.process_entry = _has_tag(
-                    ctx, node, TAG_PROCESS_ENTRY
-                )
                 model.functions[info.qualname] = info
                 model.functions_by_name.setdefault(
                     info.name, []
@@ -826,9 +817,6 @@ def build_model(contexts: Sequence[LintContext]) -> ProgramModel:
                 )
                 info.worker_entry = _has_tag(
                     cls.ctx, node, TAG_WORKER_ENTRY
-                )
-                info.process_entry = _has_tag(
-                    cls.ctx, node, TAG_PROCESS_ENTRY
                 )
                 cls.methods[node.name] = info
         _collect_attrs(cls)
@@ -1083,13 +1071,13 @@ def _detect_worker_entries(model: ProgramModel) -> None:
                 attr = _self_attr(target)
                 if attr is not None and info.cls is not None:
                     resolved = info.cls.resolve_method(attr)
-                    if resolved is not None and not resolved.process_entry:
+                    if resolved is not None:
                         resolved.worker_entry = True
                 elif isinstance(target, ast.Name):
                     fn = model.functions.get(
                         f"{info.ctx.module}:{target.id}"
                     )
-                    if fn is not None and not fn.process_entry:
+                    if fn is not None:
                         fn.worker_entry = True
             elif name == "Thread":
                 for kw in call.keywords:

@@ -31,9 +31,7 @@ __all__ = [
     "QueryResult",
     "Range",
     "cheapest_variant",
-    "collect_leaves",
     "dont_care_variants",
-    "shared_leaf_counts",
 ]
 
 _LAZY = {
@@ -43,11 +41,6 @@ _LAZY = {
     "QueryResult": ("repro.query.executor", "QueryResult"),
     "dont_care_variants": ("repro.query.optimizer", "dont_care_variants"),
     "cheapest_variant": ("repro.query.optimizer", "cheapest_variant"),
-    "collect_leaves": ("repro.query.optimizer", "collect_leaves"),
-    "shared_leaf_counts": (
-        "repro.query.optimizer",
-        "shared_leaf_counts",
-    ),
 }
 
 

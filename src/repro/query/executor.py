@@ -148,8 +148,6 @@ class Executor:
         self,
         plan: Plan,
         trace: bool = False,
-        *,
-        leaf_cache: Optional[Dict[Predicate, BitVector]] = None,
     ) -> QueryResult:
         """Execute a prepared plan.
 
@@ -157,13 +155,6 @@ class Executor:
         that moved (evaluator reads, pool hits, retries, …) land in
         ``QueryResult.metrics`` as a per-query snapshot, while the
         process-lifetime totals keep accumulating in the registry.
-
-        ``leaf_cache`` shares leaf-predicate result vectors across
-        executions: a batch (see
-        :meth:`repro.shard.executor.ParallelExecutor.execute_many`)
-        passes one dict for all its queries, so two queries selecting
-        on the same leaf pay the index read once.  Cache hits add no
-        access cost — that is exactly the saving being modelled.
         """
         registry = self._registry()
         registry.counter("query.queries").inc()
@@ -187,12 +178,7 @@ class Executor:
                 }
                 cost = LookupCost()
                 vector = self._evaluate(
-                    plan.table,
-                    plan.predicate,
-                    lookup,
-                    cost,
-                    trace_obj,
-                    leaf_cache,
+                    plan.table, plan.predicate, lookup, cost, trace_obj
                 )
                 result = QueryResult(vector=vector, cost=cost)
         result.metrics = scope.finish()
@@ -209,31 +195,28 @@ class Executor:
         lookup: Dict[int, Any],
         cost: LookupCost,
         trace: Optional[QueryTrace] = None,
-        leaf_cache: Optional[Dict[Predicate, BitVector]] = None,
     ) -> BitVector:
         if isinstance(predicate, AndPredicate):
             result = self._evaluate(
-                table, predicate.operands[0], lookup, cost, trace,
-                leaf_cache,
+                table, predicate.operands[0], lookup, cost, trace
             )
             for operand in predicate.operands[1:]:
                 result &= self._evaluate(
-                    table, operand, lookup, cost, trace, leaf_cache
+                    table, operand, lookup, cost, trace
                 )
             return result
         if isinstance(predicate, OrPredicate):
             result = self._evaluate(
-                table, predicate.operands[0], lookup, cost, trace,
-                leaf_cache,
+                table, predicate.operands[0], lookup, cost, trace
             )
             for operand in predicate.operands[1:]:
                 result |= self._evaluate(
-                    table, operand, lookup, cost, trace, leaf_cache
+                    table, operand, lookup, cost, trace
                 )
             return result
         if isinstance(predicate, NotPredicate):
             inner = self._evaluate(
-                table, predicate.operand, lookup, cost, trace, leaf_cache
+                table, predicate.operand, lookup, cost, trace
             )
             result = ~inner
             for row_id in table.void_rows():
@@ -243,16 +226,6 @@ class Executor:
                 if row_id < len(result):
                     result[row_id] = False
             return result
-        if leaf_cache is not None:
-            cached = leaf_cache.get(predicate)
-            if cached is not None:
-                # No cost added: the whole point of the batch cache is
-                # that this read was already paid for.  A copy is
-                # returned because AND/OR combination above mutates
-                # its left operand in place.
-                self._registry().counter("query.leaf_cache_hits").inc()
-                return cached.copy()
-            self._registry().counter("query.leaf_cache_misses").inc()
         step = lookup.get(id(predicate))
         if step is None:
             raise QueryError(f"no access step for predicate {predicate}")
@@ -263,13 +236,6 @@ class Executor:
         cost.rows_checked += step_cost.rows_checked
         if trace is not None:
             trace.accesses.append(_access_event(step, step_cost))
-        if leaf_cache is not None:
-            # Single-copy discipline (audited with repro.kernels):
-            # ``vector`` is freshly allocated by ``lookup`` and owned by
-            # the caller, who may mutate it in place, so the cache keeps
-            # its own copy here and the hit path above copies once per
-            # reuse.  Neither path copies twice.
-            leaf_cache[predicate] = vector.copy()
         return vector
 
     # ------------------------------------------------------------------

@@ -137,44 +137,6 @@ high_inclusive=True)))
     return OrPredicate(tuple(merged))
 
 
-def collect_leaves(predicate: Predicate) -> List[Predicate]:
-    """The leaf predicates of one tree, in evaluation order."""
-    if isinstance(predicate, (AndPredicate, OrPredicate)):
-        leaves: List[Predicate] = []
-        for operand in predicate.operands:
-            leaves.extend(collect_leaves(operand))
-        return leaves
-    if isinstance(predicate, NotPredicate):
-        return collect_leaves(predicate.operand)
-    return [predicate]
-
-
-def shared_leaf_counts(
-    predicates: Sequence[Predicate],
-) -> Dict[Predicate, int]:
-    """How many queries of a batch reference each leaf predicate.
-
-    Leaf predicates are frozen dataclasses, so equal leaves from
-    different query trees hash together.  A leaf appearing twice in
-    the *same* query still counts once — the interesting number is
-    how many queries would share one vector read through the batch
-    executor's leaf cache.
-
-    >>> from repro.query.predicates import Equals
-    >>> a, b = Equals("v", 1), Equals("v", 2)
-    >>> counts = shared_leaf_counts([a & b, a | Equals("w", 9)])
-    >>> counts[Equals("v", 1)]
-    2
-    >>> counts[Equals("v", 2)]
-    1
-    """
-    counts: Dict[Predicate, int] = {}
-    for predicate in predicates:
-        for leaf in dict.fromkeys(collect_leaves(predicate)):
-            counts[leaf] = counts.get(leaf, 0) + 1
-    return counts
-
-
 def operation_count(function: ReducedFunction) -> int:
     """ANDs/ORs/NOTs needed to evaluate a DNF (rough CPU measure)."""
     if function.is_false or function.is_true:

@@ -1,16 +1,10 @@
 """``QueryOptions`` — the one way to configure a query.
 
-Before the serving tier landed, every per-call knob travelled as its
-own bare keyword argument (``workers=``, ``trace=``) scattered across
-:meth:`repro.database.Database.query`, ``query_many``, ``explain`` and
-the partition-parallel executor — and each new knob (tenant ids,
-timeouts, the process-pool backend, the result cache) would have
-widened every one of those signatures again.  ``QueryOptions`` folds
-the whole per-call surface into a single keyword-only dataclass; the
-old bare keywords remain as :class:`DeprecationWarning` shims for
-external callers (see :func:`resolve_options`), and ebilint rule
-EBI207 keeps in-repo code off the shims so the deprecation period can
-actually end.
+Every per-call knob of :meth:`repro.database.Database.query`,
+``query_many``, ``explain`` and the partition-parallel executor
+(worker count, tracing, tenant id, timeout, the result cache, ...)
+travels in one keyword-only dataclass, so a new knob widens no
+signature.
 
 Example::
 
@@ -24,19 +18,11 @@ Example::
 from __future__ import annotations
 
 import threading
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
-from typing import Any, Iterator, List, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Iterator, List, Optional
 
 from repro.errors import InvalidArgumentError
-
-#: Execution backends the partition-parallel executor understands.
-BACKENDS = ("thread", "process")
-
-#: Per-call keywords the pre-``QueryOptions`` API accepted; still
-#: honoured as deprecated shims by the query entry points.
-LEGACY_QUERY_KWARGS = ("workers", "trace")
 
 
 @dataclass(frozen=True)
@@ -51,22 +37,19 @@ class QueryOptions:
     trace:
         Attach a :class:`~repro.obs.trace.QueryTrace` to the result.
         Traced queries bypass the result cache (a cached trace would
-        describe work that did not happen) and always run on the
-        thread backend.
-    backend:
-        ``"thread"`` (default) or ``"process"`` — the latter runs
-        partitions on a :class:`~repro.shard.process.ProcessPoolStrategy`
-        worker pool, escaping the GIL for the pure-Python planning and
-        reduction work.
+        describe work that did not happen).
     use_kernels:
         Per-query override of the compiled-kernel path: ``None``
         keeps each index's own setting, ``False`` forces the legacy
         tree walk for this query only (ablation runs).
     timeout_seconds:
-        Deadline for the call.  Enforced between partition futures by
-        the parallel executor and across queue wait + execution by
-        :class:`repro.serving.Server`; a plain single-table query
-        checks it only before starting.
+        Deadline for the call.  Only two places read it: the
+        partition-parallel executor, which checks it between
+        partitions, and :class:`repro.serving.Server`, which fails a
+        request whose deadline passed while it was queued and passes
+        the remainder on to the query.  A query on a plain
+        (unpartitioned) table never checks it, so there it bounds the
+        queue wait only.
     snapshot_rows:
         Consistency pin: evaluate against the first ``snapshot_rows``
         rows only, as :func:`repro.query.snapshot.pinned_rows` would.
@@ -82,32 +65,25 @@ class QueryOptions:
         Out-of-core pipelining (``docs/out_of_core.md``): when a
         :class:`~repro.shard.residency.ResidencyManager` is attached,
         the streaming executor warms the next partition's spilled
-        plane file while the current one evaluates.  ``None`` (the
+        plane file while the current one evaluates.  ``True`` (the
         default) enables it whenever residency is managed; ``False``
         disables the prefetch for this query (ablation: measures raw
-        fault-in latency); ``True`` is an explicit request and
-        behaves like ``None``.
+        fault-in latency).
     """
 
     workers: Optional[int] = None
     trace: bool = False
-    backend: str = "thread"
     use_kernels: Optional[bool] = None
     timeout_seconds: Optional[float] = None
     snapshot_rows: Optional[int] = None
     tenant: Optional[str] = None
     use_cache: bool = False
-    prefetch: Optional[bool] = None
+    prefetch: bool = True
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise InvalidArgumentError(
                 f"worker count must be >= 1, got {self.workers}"
-            )
-        if self.backend not in BACKENDS:
-            raise InvalidArgumentError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{BACKENDS}"
             )
         if (
             self.timeout_seconds is not None
@@ -130,51 +106,6 @@ class QueryOptions:
 #: The default options — what a bare ``db.query(table, predicate)``
 #: runs with.
 DEFAULT_OPTIONS = QueryOptions()
-
-_OPTION_FIELDS = frozenset(f.name for f in fields(QueryOptions))
-
-
-def resolve_options(
-    options: Optional[QueryOptions],
-    legacy: Mapping[str, Any],
-    *,
-    where: str,
-    stacklevel: int = 3,
-) -> QueryOptions:
-    """Fold deprecated bare keywords into a :class:`QueryOptions`.
-
-    ``legacy`` is the ``**kwargs`` dict a shimmed entry point
-    collected.  Known legacy keys (:data:`LEGACY_QUERY_KWARGS`) raise
-    a :class:`DeprecationWarning` naming the replacement; unknown keys
-    raise :class:`~repro.errors.InvalidArgumentError` immediately.
-    Passing both ``options=`` and a legacy keyword is rejected — a
-    call must be all-new or all-old, never a merge whose precedence
-    the reader has to guess.
-    """
-    if not legacy:
-        return options if options is not None else DEFAULT_OPTIONS
-    unknown = sorted(set(legacy) - _OPTION_FIELDS)
-    if unknown:
-        raise InvalidArgumentError(
-            f"{where}() got unexpected keyword argument(s) "
-            f"{', '.join(map(repr, unknown))}; supported options are "
-            f"the QueryOptions fields {sorted(_OPTION_FIELDS)}"
-        )
-    if options is not None:
-        raise InvalidArgumentError(
-            f"{where}() got both options= and the deprecated bare "
-            f"keyword(s) {sorted(legacy)}; pass everything via "
-            "options=QueryOptions(...)"
-        )
-    warnings.warn(
-        f"{where}({', '.join(sorted(legacy))}=...) is deprecated; "
-        f"pass options=QueryOptions({', '.join(sorted(legacy))}=...) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return QueryOptions(**dict(legacy))
-
 
 # ---------------------------------------------------------------------
 # per-query compiled-kernel override
@@ -219,11 +150,8 @@ def kernel_override_value() -> Optional[bool]:
 
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_OPTIONS",
-    "LEGACY_QUERY_KWARGS",
     "QueryOptions",
     "kernel_override",
     "kernel_override_value",
-    "resolve_options",
 ]

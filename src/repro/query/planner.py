@@ -174,20 +174,6 @@ class Planner:
             plan.fallback_scan = True
         return plan
 
-    def plan_many(
-        self, table: Table, predicates: List[Predicate]
-    ) -> List[Plan]:
-        """Plan a batch of predicates against one table.
-
-        Plans are built in input order and stay independently
-        executable; planning them together lets a batch executor pair
-        the list with one shared leaf cache (see
-        ``Executor.execute(..., leaf_cache=...)``), so leaves counted
-        by :func:`repro.query.optimizer.shared_leaf_counts` as shared
-        are read once, not once per query.
-        """
-        return [self.plan(table, predicate) for predicate in predicates]
-
     def _collect_steps(
         self, table: Table, predicate: Predicate, plan: Plan
     ) -> None:

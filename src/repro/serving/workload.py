@@ -13,7 +13,7 @@ is explicit about its three axes:
   epoch, bounding how long any cached entry can live.
 
 Everything derives from one ``random.Random(seed)``, so a workload is
-reproducible across runs and backends — the property the serving
+reproducible across runs and execution paths — the property the serving
 bench's bit-identity lines rely on.
 """
 

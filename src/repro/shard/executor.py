@@ -18,9 +18,8 @@ worker or eight therefore produces bit-identical rows, counts, and
 aggregated metrics (the property ``tests/test_shard.py`` pins down).
 
 ``execute_many`` is the batch API: all of a batch's predicates are
-evaluated partition by partition, sharing one leaf-vector cache and
-one column-array cache per partition, so queries selecting on the
-same leaf predicate pay its vector read once.
+evaluated partition by partition, sharing one column-array cache per
+partition, so the vector-scan fallback converts each column once.
 
 Compiled-kernel and reduction reuse across partitions is free: the
 reduction cache (:mod:`repro.boolean.reduction`) and the compile cache
@@ -64,11 +63,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import QueryTrace, StageTiming
 from repro.query.executor import Executor, QueryResult
-from repro.query.optimizer import shared_leaf_counts
 from repro.query.options import (
+    DEFAULT_OPTIONS,
     QueryOptions,
     kernel_override,
-    resolve_options,
 )
 from repro.query.predicates import Predicate
 from repro.query.snapshot import bounded_rows, pinned_rows
@@ -76,7 +74,6 @@ from repro.shard.partition import Partition, PartitionedTable
 from repro.shard.scan import ColumnArrayCache, try_vector_scan
 
 if TYPE_CHECKING:
-    from repro.shard.process import ProcessPoolStrategy
     from repro.shard.residency import ResidencyManager
 
 #: Default worker-thread count (matches the default partition count).
@@ -127,8 +124,8 @@ class ParallelExecutor:
         :class:`repro.shard.index.PartitionedIndex`, whose children
         self-register there).
     workers:
-        Keyword-only default worker-thread count; per-call ``workers=``
-        overrides it.  One worker executes partitions inline on the
+        Keyword-only default worker-thread count;
+        ``QueryOptions.workers`` overrides it per call.  One worker executes partitions inline on the
         calling thread — the baseline the determinism tests compare
         against.
     registry:
@@ -160,8 +157,6 @@ class ParallelExecutor:
         self.workers = workers  # ebi: shared-readonly
         self.registry = registry  # ebi: shared-readonly
         self.residency = residency  # ebi: shared-readonly
-        self._process_lock = threading.Lock()
-        self._process: Optional["ProcessPoolStrategy"] = None
 
     def _registry(self) -> MetricsRegistry:
         return self.registry if self.registry is not None else get_registry()
@@ -173,37 +168,25 @@ class ParallelExecutor:
         self,
         predicate: Predicate,
         options: Optional[QueryOptions] = None,
-        **legacy: Any,
     ) -> PartitionedQueryResult:
-        """Evaluate one predicate across every partition and merge.
-
-        Configuration travels in ``options``; the pre-``QueryOptions``
-        bare keywords (``workers=``, ``trace=``) still work behind a
-        :class:`DeprecationWarning` shim.
-        """
-        opts = resolve_options(options, legacy, where="execute")
-        return self.execute_many([predicate], opts)[0]
+        """Evaluate one predicate across every partition and merge."""
+        return self.execute_many([predicate], options)[0]
 
     def execute_many(
         self,
         predicates: Sequence[Predicate],
         options: Optional[QueryOptions] = None,
-        **legacy: Any,
     ) -> List[PartitionedQueryResult]:
-        """Evaluate a batch of predicates, sharing reads per partition.
+        """Evaluate a batch of predicates partition by partition.
 
         Every worker task covers *all* predicates for one partition,
-        sharing a leaf-vector cache and a column-array cache across
-        the batch; results merge per query in partition-id order.
+        sharing a column-array cache across the batch; results merge
+        per query in partition-id order.
 
-        ``options`` selects the backend (``thread`` / ``process``),
-        worker count, per-query kernel override, snapshot pin and
-        timeout; the old bare ``workers=`` / ``trace=`` keywords are
-        deprecated shims.  Traced queries always run on the thread
-        backend — a trace is built from in-process objects that a
-        worker process cannot send back whole.
+        ``options`` selects the worker count, per-query kernel
+        override, snapshot pin, timeout and prefetch.
         """
-        opts = resolve_options(options, legacy, where="execute_many")
+        opts = options if options is not None else DEFAULT_OPTIONS
         predicates = list(predicates)
         if not predicates:
             return []
@@ -217,16 +200,7 @@ class ParallelExecutor:
         cpu = time.process_time()
 
         partitions = self.table.partitions
-        if opts.backend == "process" and not trace:
-            outcomes = self._process_strategy().run_batch(
-                partitions,
-                predicates,
-                snapshot_rows=opts.snapshot_rows,
-                use_kernels=opts.use_kernels,
-                deadline=deadline,
-                registry=registry,
-            )
-        elif nworkers == 1:
+        if nworkers == 1:
             # Streaming pipeline: while partition i evaluates on this
             # thread, a helper warms partition i+1's spilled plane
             # file (double buffering — fault-in I/O overlaps kernel
@@ -238,7 +212,7 @@ class ParallelExecutor:
                 self._check_deadline(deadline, opts)
                 prefetcher = (
                     self._start_prefetch(partitions, position + 1)
-                    if opts.prefetch is not False
+                    if opts.prefetch
                     else None
                 )
                 outcomes.append(
@@ -333,30 +307,6 @@ class ParallelExecutor:
                 f"query exceeded its {opts.timeout_seconds}s deadline",
                 timeout_seconds=opts.timeout_seconds or 0.0,
             )
-
-    def _process_strategy(self) -> "ProcessPoolStrategy":
-        """The lazily-built, reused process-pool backend."""
-        from repro.shard.process import ProcessPoolStrategy
-
-        with self._process_lock:
-            if self._process is None:
-                self._process = ProcessPoolStrategy()
-            return self._process
-
-    def close(self) -> None:
-        """Release backend resources (the worker-process pool and its
-        spill directory).  Idempotent; the executor stays usable — the
-        next process-backend query simply rebuilds the pool."""
-        with self._process_lock:
-            process, self._process = self._process, None
-        if process is not None:
-            process.close()
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
     def explain(self, predicate: Predicate) -> str:
         """Partition-aware EXPLAIN: one plan per partition, no reads."""
@@ -571,13 +521,6 @@ class ParallelExecutor:
             registry.counter(name).inc(value)
         registry.counter("shard.batches").inc()
         registry.counter("shard.queries").inc(len(predicates))
-        shared = sum(
-            1
-            for count in shared_leaf_counts(predicates).values()
-            if count > 1
-        )
-        if shared:
-            registry.counter("shard.shared_leaves").inc(shared)
 
 
 def run_partition_batch(
@@ -590,10 +533,8 @@ def run_partition_batch(
 ) -> Tuple[List[_PartitionRecord], Dict[str, MetricValue]]:
     """Evaluate a predicate batch against one partition.
 
-    The unit of work both backends share: the thread backend calls it
-    on a worker thread, the process backend
-    (:mod:`repro.shard.process`) calls it inside a worker process
-    against a deserialised partition replica.  Runs under a *private*
+    The unit of work one worker thread (or the calling thread, with
+    one worker) runs per partition.  Runs under a *private*
     metrics registry (returned as the snapshot half of the result) and
     a pinned row watermark; ``snapshot_rows`` is a caller-supplied pin
     in *global* row ids that clamps the partition to its slice of the
@@ -615,7 +556,6 @@ def run_partition_batch(
     ), pinned_rows(partition.table, rows=bound):
         executor = Executor(partition.catalog)
         arrays = ColumnArrayCache(partition.table)
-        leaf_cache: Dict[Predicate, BitVector] = {}
         for predicate in predicates:
             start = time.perf_counter()
             plan = executor.planner.plan(partition.table, predicate)
@@ -627,9 +567,7 @@ def run_partition_batch(
                 )
                 vector_scan = result is not None
             if result is None:
-                result = executor.execute(
-                    plan, trace=trace, leaf_cache=leaf_cache
-                )
+                result = executor.execute(plan, trace=trace)
             records.append(
                 _PartitionRecord(
                     result=result,

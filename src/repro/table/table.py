@@ -52,13 +52,6 @@ class Table:
         #: this instead of ``len(self)``, so a pin can never land in
         #: the middle of a batch.
         self._published_rows = 0
-        #: Monotonic mutation counter: bumps once per append batch,
-        #: update, delete or permutation, under the write lock.  The
-        #: process-pool backend (:mod:`repro.shard.process`) folds it
-        #: into partition fingerprints so a worker's cached
-        #: deserialisation is invalidated by *any* mutation, including
-        #: an in-place update that moves no watermark.
-        self._mutations = 0
 
     @classmethod
     def from_columns(
@@ -117,12 +110,6 @@ class Table:
         """
         return self._published_rows
 
-    def mutation_count(self) -> int:
-        """How many mutations (append batches, updates, deletes,
-        permutations) this table has ever applied — a cheap change
-        fingerprint for cross-process caches."""
-        return self._mutations
-
     def append(self, row: Any) -> int:
         """Append one row (dict by column name, or positional sequence).
 
@@ -138,7 +125,6 @@ class Table:
                     row_id, dict(zip(self._columns, values))
                 )
             self._published_rows = row_id + 1
-            self._mutations += 1
         return row_id
 
     def append_rows(self, rows: Iterable[Any]) -> List[int]:
@@ -166,7 +152,6 @@ class Table:
                     )
                 row_ids.append(row_id)
             self._published_rows = row_ids[-1] + 1
-            self._mutations += 1
         return row_ids
 
     def row(self, row_id: int) -> Dict[str, Any]:
@@ -191,7 +176,6 @@ class Table:
                 # copies, so the no-I/O-under-lock rule is suppressed
                 # here deliberately.
                 observer.on_update(row_id, column_name, old, value)  # ebilint: disable=EBI303
-            self._mutations += 1
 
     def delete(self, row_id: int) -> None:
         """Soft-delete a row: the position becomes a void tuple."""
@@ -203,7 +187,6 @@ class Table:
             self._void.add(row_id)
             for observer in self._observers:
                 observer.on_delete(row_id)
-            self._mutations += 1
 
     def is_void(self, row_id: int) -> bool:
         return row_id in self._void
@@ -257,7 +240,6 @@ class Table:
             self._void = {inverse[row_id] for row_id in self._void}
             for observer in self._observers:
                 observer.rebuild()
-            self._mutations += 1
 
     # ------------------------------------------------------------------
     # index attachment

@@ -805,79 +805,6 @@ def test_cli_list_rules(capsys):
 
 
 # ----------------------------------------------------------------------
-# EBI206 — deprecated index constructor forms
-# ----------------------------------------------------------------------
-def test_ebi206_flags_extra_positional_arguments():
-    bad = """
-        from repro.index import EncodedBitmapIndex
-
-        index = EncodedBitmapIndex(table, "v", mapping_table)
-    """
-    found = findings_for("EBI206", bad, module="repro.demo")
-    assert len(found) == 1
-    assert "positional" in found[0].message
-
-
-def test_ebi206_flags_mapping_keyword():
-    bad = """
-        index = EncodedBitmapIndex(table, "v", mapping=mapping_table)
-    """
-    found = findings_for("EBI206", bad, module="repro.demo")
-    assert len(found) == 1
-    assert "mapping=" in found[0].message
-    assert "encoding=" in found[0].message
-
-
-def test_ebi206_flags_mappings_keyword_on_groupset():
-    bad = """
-        index = GroupSetIndex(table, ["a", "b"], mappings=tables)
-    """
-    found = findings_for("EBI206", bad, module="tests.test_demo")
-    assert len(found) == 1
-    assert "encodings=" in found[0].message
-
-
-def test_ebi206_join_index_keeps_four_anchors():
-    good = """
-        index = BitmapJoinIndex(fact, "fk", dim, "k", encoding=m)
-    """
-    assert not findings_for("EBI206", good, module="repro.demo")
-    bad = """
-        index = BitmapJoinIndex(fact, "fk", dim, "k", m)
-    """
-    assert len(findings_for("EBI206", bad, module="repro.demo")) == 1
-
-
-def test_ebi206_checks_attribute_calls():
-    bad = """
-        import repro.index as ix
-
-        index = ix.BPlusTreeIndex(table, "v", 4096)
-    """
-    assert len(findings_for("EBI206", bad, module="repro.demo")) == 1
-
-
-def test_ebi206_accepts_normalized_forms():
-    good = """
-        a = EncodedBitmapIndex(table, "v", encoding=mapping_table)
-        b = BPlusTreeIndex(table, "v", page_size=4096)
-        c = PagedEncodedBitmapIndex(table, "v", store=pager)
-        d = GroupSetIndex(table, ["a", "b"], encodings=tables)
-        e = SimpleBitmapIndex(table, "v", registry=registry)
-    """
-    assert not findings_for("EBI206", good, module="repro.demo")
-
-
-def test_ebi206_inline_disable():
-    source = """
-        index = EncodedBitmapIndex(  # ebilint: disable=EBI206
-            table, "v", mapping=m
-        )
-    """
-    assert not findings_for("EBI206", source, module="tests.test_x")
-
-
-# ----------------------------------------------------------------------
 # EBI301 — shared-state discipline on worker-reachable paths
 # ----------------------------------------------------------------------
 def test_ebi301_flags_unguarded_write_on_worker_path():

@@ -103,45 +103,14 @@ class TestCostAccounting:
 
 
 class TestDeprecatedConstructorShims:
-    """The pre-normalization call forms still work, but warn."""
-
-    def test_positional_encoding_warns_and_applies(self, table):
-        reference = EncodedBitmapIndex(table, "v")
-        mapping = reference._mapping
-        with pytest.warns(DeprecationWarning, match="positional"):
-            index = EncodedBitmapIndex(table, "v", mapping)  # ebilint: disable=EBI206
-        assert index._mapping is mapping
-        pred = Equals("v", 2)
-        assert (
-            index.lookup(pred).indices().tolist()
-            == reference.lookup(pred).indices().tolist()
-        )
-
-    def test_mapping_keyword_warns_and_maps_to_encoding(self, table):
-        mapping = EncodedBitmapIndex(table, "v")._mapping
-        with pytest.warns(DeprecationWarning, match="mapping"):
-            index = EncodedBitmapIndex(table, "v", mapping=mapping)  # ebilint: disable=EBI206
-        assert index._mapping is mapping
-
-    def test_btree_positional_page_size_warns(self, table):
-        from repro.index.btree import BPlusTreeIndex
-
-        with pytest.warns(DeprecationWarning, match="page_size"):
-            index = BPlusTreeIndex(table, "v", 1024)  # ebilint: disable=EBI206
-        assert index.page_size == 1024
-
-    def test_groupset_mappings_keyword_warns(self, table):
-        from repro.index.groupset import GroupSetIndex
-
-        mapping = EncodedBitmapIndex(table, "v")._mapping
-        with pytest.warns(DeprecationWarning, match="mappings"):
-            GroupSetIndex(table, ["v"], mappings={"v": mapping})  # ebilint: disable=EBI206
+    """Index constructors take only their anchors positionally:
+    extras raise ``TypeError`` and the keyword form never warns."""
 
     def test_too_many_positionals_still_a_typeerror(self, table):
         with pytest.raises(TypeError, match="positional"):
-            SimpleBitmapIndex(table, "v", 1, 2, 3, 4, 5)  # ebilint: disable=EBI206
+            SimpleBitmapIndex(table, "v", 1)
 
-    def test_normalized_form_does_not_warn(self, table, recwarn):
+    def test_normalized_form_does_not_warn(self, table):
         import warnings
 
         with warnings.catch_warnings():

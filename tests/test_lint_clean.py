@@ -101,14 +101,6 @@ def test_every_shipped_rule_fails_a_violating_fixture():
             "    raise ValueError(\"bad argument\")\n",
             "repro.storage.fake",
         ),
-        "EBI207": (
-            "r = db.query(\"sales\", predicate, workers=2)\n",
-            "repro.query.fake",
-        ),
-        "EBI206": (
-            "i = EncodedBitmapIndex(t, \"v\", mapping=m)\n",
-            "repro.index.fake",
-        ),
         "EBI301": (
             "class C:\n"
             "    def __init__(self):\n"

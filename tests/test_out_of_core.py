@@ -12,8 +12,6 @@ Covers the spill/evict/fault-in tier end to end (docs/out_of_core.md):
 * the database-level wiring: ``memory_budget_bytes``, streaming
   queries under budget pressure, idempotent ``close()``, manifest
   round trip;
-* :class:`repro.shard.process.ProcessPoolStrategy` spill-file hygiene
-  (no leaked content-addressed files across runs);
 * :class:`repro.storage.stats.IOStatistics` ledger reconciliation
   under buffer-pool eviction pressure.
 """
@@ -511,55 +509,6 @@ class TestDatabaseOutOfCore:
 
         with pytest.raises(InvalidArgumentError):
             Database(memory_budget_bytes=-1)
-
-
-# ---------------------------------------------------------------------------
-# process-pool spill hygiene
-# ---------------------------------------------------------------------------
-class TestProcessSpillCleanup:
-    def test_stale_files_swept_on_first_spill(self, tmp_path):
-        from repro.shard.process import ProcessPoolStrategy
-
-        spill_dir = str(tmp_path / "spills")
-        os.makedirs(spill_dir)
-        stale_spill = os.path.join(spill_dir, "p0-deadbeef.ebsp")
-        stale_tmp = os.path.join(
-            spill_dir, "p1-cafe.ebsp.tmp.12345.678"
-        )
-        unrelated = os.path.join(spill_dir, "keep.txt")
-        for path in (stale_spill, stale_tmp, unrelated):
-            with open(path, "wb") as handle:
-                handle.write(b"x")
-        strategy = ProcessPoolStrategy(spill_dir=spill_dir)
-        try:
-            assert strategy._spill_root() == spill_dir
-        finally:
-            strategy.close()
-        assert not os.path.exists(stale_spill)
-        assert not os.path.exists(stale_tmp)
-        assert os.path.exists(unrelated)
-
-    def test_close_sweeps_even_untracked_spills(self, tmp_path):
-        from repro.shard.process import ProcessPoolStrategy
-
-        spill_dir = str(tmp_path / "spills")
-        strategy = ProcessPoolStrategy(spill_dir=spill_dir)
-        strategy._spill_root()
-        orphan = os.path.join(spill_dir, "p7-0123abcd.ebsp")
-        with open(orphan, "wb") as handle:
-            handle.write(b"x")
-        strategy.close()
-        assert not os.path.exists(orphan)
-        strategy.close()  # idempotent
-
-    def test_tempdir_backend_leaves_nothing(self):
-        from repro.shard.process import ProcessPoolStrategy
-
-        strategy = ProcessPoolStrategy()
-        root = strategy._spill_root()
-        assert os.path.isdir(root)
-        strategy.close()
-        assert not os.path.exists(root)
 
 
 # ---------------------------------------------------------------------------

@@ -472,31 +472,12 @@ def test_trace_and_snapshot_queries_bypass_the_cache():
 
 
 # ---------------------------------------------------------------------
-# process backend identity and executor lifecycle
+# executor lifecycle
 # ---------------------------------------------------------------------
-def test_process_backend_bit_identical_to_thread():
-    db = make_db(partitions=2, rows=96)
-    try:
-        for predicate in IDENTITY_PREDICATES[:4]:
-            threaded = db.query(
-                "sales",
-                predicate,
-                QueryOptions(workers=2, backend="thread"),
-            )
-            processed = db.query(
-                "sales",
-                predicate,
-                QueryOptions(workers=2, backend="process"),
-            )
-            assert results_identical(threaded, processed), predicate
-    finally:
-        db.close()
-
-
 def test_executor_lifecycle_across_reorder_compact_close(tmp_path):
     """The lazily built per-table executor stays valid through every
     table-shape change: reorder (rows permute), compact (index planes
-    swap), close (backends released) and recover (fresh process)."""
+    swap), close (executors released) and recover (fresh process)."""
     db = make_db(partitions=2, rows=96)
     predicate = Equals("region", "N")
     opts = QueryOptions(workers=2)

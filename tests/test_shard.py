@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.database import Database
 from repro.errors import InvalidArgumentError, TableError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.query.executor import Executor
@@ -230,23 +231,36 @@ class TestBatchExecution:
             solo = executor.execute(predicate)
             assert result.row_ids() == solo.row_ids()
 
-    def test_duplicate_leaves_share_index_reads(self):
-        _, parted = make_tables()
-        PartitionedIndex(parted, "product")
-        executor = ParallelExecutor(parted)
-        predicate = Equals("product", 3)
-        executor.execute(predicate)  # warm caches
-
-        def lookups(predicates):
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                executor.execute_many(predicates, QueryOptions(workers=1))
-            return registry.collect().get("index.lookups", 0)
-
-        once = lookups([predicate])
-        # The duplicate hits the batch's per-partition leaf cache, so
-        # the second query adds no index lookups at all.
-        assert lookups([predicate, predicate]) == once
+    @pytest.mark.parametrize("partitions", [None, 4])
+    def test_batch_duplicates_match_solo_rows_and_ce(self, partitions):
+        """Every query of a batch, duplicates and shared leaves
+        included, answers with the rows *and* ``c_e`` it has alone."""
+        db = Database()
+        rng = random.Random(3)
+        db.create_table(
+            "sales",
+            {"product": [rng.randrange(20) for _ in range(500)]},
+            partitions=partitions,
+        )
+        db.create_index("sales", "product")
+        shared = Equals("product", 3)
+        predicates = [
+            shared,
+            Range("product", 4, 11),
+            shared,
+            shared | Equals("product", 9),
+            InList("product", [3, 9]),
+        ]
+        for workers in (1, 2):
+            opts = QueryOptions(workers=workers)
+            batch = db.query_many("sales", predicates, opts)
+            for predicate, result in zip(predicates, batch):
+                solo = db.query("sales", predicate, opts)
+                assert result.row_ids() == solo.row_ids(), predicate
+                assert (
+                    result.cost.vectors_accessed
+                    == solo.cost.vectors_accessed
+                ), predicate
 
     def test_empty_batch(self):
         _, parted = make_tables()
