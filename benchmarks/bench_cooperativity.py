@@ -84,7 +84,7 @@ class TestConjunctiveQueries:
                     for row_id in range(len(table))
                     if predicate.matches(table.row(row_id))
                 ]
-                assert result.row_ids() == expected
+                assert result.row_ids().tolist() == expected
                 served += 1
         print(f"\nall {served} condition combinations served by "
               "4 bitmap indexes (B-trees would need 15 compounds)")

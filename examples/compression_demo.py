@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 import time
 
+import numpy as np
+
 from repro import Database, InList, Table
 from repro.boolean.evaluator import AccessCounter
 from repro.encoding.mapping import MappingTable
@@ -109,12 +111,14 @@ def database_reorder() -> None:
     # Map the post-reorder hits back to arrival order via the
     # recorded per-partition permutations.
     offsets = [0, 1024, 2048, 3072]
-    mapped = set()
-    for row_id in after:
+    mapped = []
+    for row_id in after.tolist():
         part = min(row_id // 1024, 3)
         offset = offsets[part]
-        mapped.add(offset + permutations[part][row_id - offset])
-    assert mapped == set(before), "reorder changed the selected rows!"
+        mapped.append(offset + permutations[part][row_id - offset])
+    assert np.array_equal(np.sort(mapped), before), (
+        "reorder changed the selected rows!"
+    )
     print(
         f"gray reorder over {len(permutations)} partitions: "
         f"{len(after)} hits, identical original rows before/after"

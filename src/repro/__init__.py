@@ -20,7 +20,7 @@ Quickstart — the :class:`Database` facade fronts the whole stack
     )
     db.create_index("sales", "product")
     result = db.query("sales", InList("product", ["a", "b"]))
-    print(result.row_ids())        # row ids with product in {a, b}
+    print(result.row_ids())        # [0 1 3 4 5]: int64 array of row ids
     print(result.cost.vectors_accessed)   # bitmap vectors read
 
 The individual layers (:class:`Table`, :class:`EncodedBitmapIndex`,

@@ -11,11 +11,25 @@ model's number and one of four relation modes:
 * ``approx`` — relative divergence within the suite tolerance
   (aggregate or noisy quantities).
 
->>> compare("c_e", measured=1, predicted=1).ok
+Each line also states its ``kind`` — what a failure would mean:
+
+* ``identity`` — a correctness contract: a mismatch, failure or error
+  count that must be 0, or an exact answer (rows, ``c_e``);
+* ``model``    — a deterministic count, size or ratio against the
+  paper's cost model or a structural bound;
+* ``perf``     — a wall-clock time, throughput or speedup; it depends
+  on the host and its load.
+
+Identity and model lines are deterministic for a given seed; perf
+lines are not (see :func:`deterministic_ok`).
+
+>>> compare("c_e", measured=1, predicted=1, kind="model").ok
 True
->>> compare("c_e", measured=3, predicted=2, mode="le").ok
+>>> compare("c_e", measured=3, predicted=2, mode="le", kind="model").ok
 False
->>> compare("ratio", 0.86, 0.84, mode="approx", tolerance=0.05).ok
+>>> compare(
+...     "ratio", 0.86, 0.84, mode="approx", tolerance=0.05, kind="perf"
+... ).ok
 True
 """
 
@@ -24,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable
 
-from repro.bench.schema import COMPARISON_MODES
+from repro.bench.schema import COMPARISON_KINDS, COMPARISON_MODES
 from repro.errors import InvalidArgumentError
 
 
@@ -39,6 +53,7 @@ class Comparison:
     unit: str
     divergence: float
     ok: bool
+    kind: str
 
     def describe(self) -> str:
         relation = {"eq": "==", "le": "<=", "ge": ">=", "approx": "~"}[
@@ -48,7 +63,7 @@ class Comparison:
         return (
             f"{self.label}: measured {self.measured:g} "
             f"{relation} predicted {self.predicted:g} {self.unit} "
-            f"[{status}, divergence {self.divergence:.1%}]"
+            f"[{status}, {self.kind}, divergence {self.divergence:.1%}]"
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -58,6 +73,7 @@ class Comparison:
             "measured": self.measured,
             "predicted": self.predicted,
             "mode": self.mode,
+            "kind": self.kind,
             "divergence": self.divergence,
             "ok": self.ok,
         }
@@ -76,11 +92,17 @@ def compare(
     mode: str = "eq",
     unit: str = "accesses",
     tolerance: float = 0.25,
+    *,
+    kind: str,
 ) -> Comparison:
     """Judge one measurement against its model prediction."""
     if mode not in COMPARISON_MODES:
         raise InvalidArgumentError(
             f"mode must be one of {COMPARISON_MODES}, got {mode!r}"
+        )
+    if kind not in COMPARISON_KINDS:
+        raise InvalidArgumentError(
+            f"kind must be one of {COMPARISON_KINDS}, got {kind!r}"
         )
     if tolerance < 0:
         raise InvalidArgumentError(
@@ -103,9 +125,16 @@ def compare(
         unit=unit,
         divergence=spread,
         ok=ok,
+        kind=kind,
     )
 
 
 def all_ok(comparisons: Iterable[Comparison]) -> bool:
     """True when every comparison held."""
     return all(c.ok for c in comparisons)
+
+
+def deterministic_ok(comparisons: Iterable[Comparison]) -> bool:
+    """True when every identity and model comparison held; perf
+    lines, which depend on the host's speed and load, are ignored."""
+    return all(c.ok for c in comparisons if c.kind != "perf")

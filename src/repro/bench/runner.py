@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.cases import BenchCase, CaseOutcome, cases_for
-from repro.bench.compare import Comparison
+from repro.bench.compare import Comparison, deterministic_ok
 from repro.bench.schema import SCHEMA_VERSION, assert_valid
 from repro.errors import InvalidArgumentError
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -50,6 +50,12 @@ class CaseReport:
         return self.error is None and all(
             c.ok for c in self.comparisons
         )
+
+    @property
+    def deterministic_ok(self) -> bool:
+        """``ok`` over the identity and model lines only: the verdict
+        that does not depend on the host's speed or load."""
+        return self.error is None and deterministic_ok(self.comparisons)
 
     def as_dict(self) -> Dict[str, Any]:
         payload = {
@@ -85,6 +91,14 @@ class SuiteReport:
     @property
     def ok(self) -> bool:
         return bool(self.cases) and all(case.ok for case in self.cases)
+
+    @property
+    def deterministic_ok(self) -> bool:
+        """``ok`` ignoring perf lines (see
+        :func:`repro.bench.compare.deterministic_ok`)."""
+        return bool(self.cases) and all(
+            case.deterministic_ok for case in self.cases
+        )
 
     def as_payload(self) -> Dict[str, Any]:
         return {

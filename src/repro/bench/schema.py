@@ -6,10 +6,10 @@ incompatible layouts instead of silently misreading them.  Validation
 is hand-rolled — the container has no ``jsonschema`` — and reports
 *all* violations, not just the first.
 
-Layout (version 3)::
+Layout (version 4)::
 
     {
-      "schema_version": 3,
+      "schema_version": 4,
       "suite": "smoke",
       "quick": true,
       "tolerance": 0.25,
@@ -43,6 +43,7 @@ Layout (version 3)::
               "measured": 8,
               "predicted": 8,
               "mode": "eq",
+              "kind": "model",
               "divergence": 0.0,
               "ok": true
             }
@@ -53,8 +54,10 @@ Layout (version 3)::
 
 ``mode`` states how ``measured`` relates to ``predicted``: exact
 (``eq``), bounded (``le`` / ``ge``) or within relative tolerance
-(``approx``).  See :mod:`repro.bench.compare` for the semantics and
-``docs/benchmarks.md`` for the full contract.
+(``approx``).  ``kind`` states what the line checks: a correctness
+contract (``identity``), a deterministic model quantity (``model``) or
+a host-dependent timing (``perf``).  See :mod:`repro.bench.compare`
+for the semantics and ``docs/benchmarks.md`` for the full contract.
 
 Version history: version 2 added the optional per-case ``workers``
 key — the thread counts a partition-parallel case ran with.  Version
@@ -62,7 +65,7 @@ key — the thread counts a partition-parallel case ran with.  Version
 string → milliseconds map for the case's overall latency quantiles)
 and ``tenants`` (per-tenant accounting rows — tenant id, request
 counts, latency quantiles).  Cases without them serialize exactly as
-in earlier versions.
+in earlier versions.  Version 4 made every result carry ``kind``.
 """
 
 from __future__ import annotations
@@ -71,9 +74,12 @@ from typing import Any, Dict, List, Tuple, Union
 
 from repro.errors import BenchSchemaError
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 COMPARISON_MODES = ("eq", "le", "ge", "approx")
+
+#: What a comparison line checks (see :mod:`repro.bench.compare`).
+COMPARISON_KINDS = ("identity", "model", "perf")
 
 _NUMBER: Tuple[type, ...] = (int, float)
 
@@ -112,6 +118,7 @@ _RESULT_KEYS: _Spec = {
     "measured": _NUMBER,
     "predicted": _NUMBER,
     "mode": str,
+    "kind": str,
     "divergence": _NUMBER,
     "ok": bool,
 }
@@ -259,6 +266,12 @@ def validate_payload(payload: Any) -> List[str]:
                 problems.append(
                     f"{rwhere}.mode: {mode!r} not in "
                     f"{COMPARISON_MODES}"
+                )
+            kind = result.get("kind")
+            if isinstance(kind, str) and kind not in COMPARISON_KINDS:
+                problems.append(
+                    f"{rwhere}.kind: {kind!r} not in "
+                    f"{COMPARISON_KINDS}"
                 )
     return problems
 

@@ -290,7 +290,7 @@ class BitVector:
 
     def indices(self) -> np.ndarray:
         """Positions of set bits, ascending, as an int64 array."""
-        return np.nonzero(self.to_mask())[0]
+        return np.flatnonzero(self.to_mask()).astype(np.int64, copy=False)
 
     def to_mask(self) -> np.ndarray:
         """Expand to a numpy boolean array of length ``len(self)``."""

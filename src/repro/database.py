@@ -20,7 +20,7 @@ Quickstart::
     )
     db.create_index("sales", "product")
     result = db.query("sales", Equals("product", "a"))
-    print(result.row_ids())
+    print(result.row_ids())  # [0 2]: an ascending int64 numpy array
 
 Saving writes a directory: a ``manifest.json`` with the table data
 (column values, void rows, partition bounds, index specs) plus one
@@ -75,7 +75,9 @@ from repro.query.executor import Executor, QueryResult
 from repro.query.options import (
     DEFAULT_OPTIONS,
     QueryOptions,
+    check_deadline,
     kernel_override,
+    start_deadline,
 )
 from repro.query.predicates import Predicate
 from repro.query.snapshot import pinned_rows, published_rows
@@ -398,6 +400,7 @@ class Database:
     ) -> QueryResult:
         if table_name in self._partitioned:
             return self._executor(table_name).execute(predicate, opts)
+        deadline = start_deadline(opts)
         executor = Executor(self.catalog, registry=self.registry)
         table = self.catalog.table(table_name)
         with ExitStack() as stack:
@@ -406,6 +409,7 @@ class Database:
                 stack.enter_context(
                     pinned_rows(table, rows=opts.snapshot_rows)
                 )
+            check_deadline(deadline, opts)
             return executor.select(table, predicate, trace=opts.trace)
 
     def query_many(  # ebi: worker-entry
@@ -421,7 +425,10 @@ class Database:
         :meth:`~repro.shard.executor.ParallelExecutor.execute_many`),
         so every answer sees the same rows.  Per-call configuration
         travels in ``options`` exactly as for :meth:`query`; the batch
-        never consults the result cache.
+        never consults the result cache.  A timeout covers the whole
+        batch: once it passes, the call raises
+        :class:`~repro.errors.QueryTimeoutError` and returns no part
+        of the batch.
         """
         opts = options if options is not None else DEFAULT_OPTIONS
         predicates = list(predicates)
@@ -431,6 +438,7 @@ class Database:
                     predicates, opts
                 )
             )
+        deadline = start_deadline(opts)
         executor = Executor(self.catalog, registry=self.registry)
         table = self.catalog.table(table_name)
         # Pin the published-row watermark for the whole batch so a
@@ -442,13 +450,16 @@ class Database:
             stack.enter_context(
                 pinned_rows(table, rows=opts.snapshot_rows)
             )
-            return [
-                executor.execute(
-                    executor.planner.plan(table, predicate),
-                    trace=opts.trace,
+            results = []
+            for predicate in predicates:
+                check_deadline(deadline, opts)
+                results.append(
+                    executor.execute(
+                        executor.planner.plan(table, predicate),
+                        trace=opts.trace,
+                    )
                 )
-                for predicate in predicates
-            ]
+            return results
 
     # ------------------------------------------------------------------
     # ingest (WAL-logged when a durable home is attached)

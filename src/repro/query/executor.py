@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
+import numpy as np
+
 from repro.bitmap.bitvector import BitVector
 from repro.errors import QueryError
 from repro.index.base import LookupCost
@@ -62,8 +64,13 @@ class QueryResult:
     #: entry point predates the serving tier and never timed itself).
     wall_seconds: float = 0.0
 
-    def row_ids(self) -> List[int]:
-        return [int(i) for i in self.vector.indices()]
+    def row_ids(self) -> np.ndarray:
+        """Selected row ids: a fresh, ascending int64 array.
+
+        The array shares no memory with :attr:`vector` (nor with a
+        result-cache entry), so callers may write to it freely.
+        """
+        return self.vector.indices()
 
     def count(self) -> int:
         return self.vector.count()
@@ -99,7 +106,7 @@ class Executor:
         ...     table, InList("A", ["a", "b"]), trace=True
         ... )
         >>> result.row_ids()
-        [0, 1, 3, 4]
+        array([0, 1, 3, 4])
         >>> result.cost.vectors_accessed  # Theorem 2.1 mapping: XOR
         2
         >>> result.trace.vector_reads()

@@ -18,11 +18,12 @@ Example::
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, List, Optional
 
-from repro.errors import InvalidArgumentError
+from repro.errors import InvalidArgumentError, QueryTimeoutError
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,14 @@ class QueryOptions:
         keeps each index's own setting, ``False`` forces the legacy
         tree walk for this query only (ablation runs).
     timeout_seconds:
-        Deadline for the call.  Only two places read it: the
-        partition-parallel executor, which checks it between
-        partitions, and :class:`repro.serving.Server`, which fails a
-        request whose deadline passed while it was queued and passes
-        the remainder on to the query.  A query on a plain
-        (unpartitioned) table never checks it, so there it bounds the
-        queue wait only.
+        Deadline for the call.  The executors check it before
+        execution and between units of work — partitions on a
+        partitioned table, batch members in ``query_many`` on a plain
+        one — and raise :class:`~repro.errors.QueryTimeoutError` once
+        it has passed; no partial result escapes.
+        :class:`repro.serving.Server` also fails a request whose
+        deadline passed while it was queued and passes the remainder
+        on to the query.
     snapshot_rows:
         Consistency pin: evaluate against the first ``snapshot_rows``
         rows only, as :func:`repro.query.snapshot.pinned_rows` would.
@@ -107,6 +109,25 @@ class QueryOptions:
 #: runs with.
 DEFAULT_OPTIONS = QueryOptions()
 
+
+def start_deadline(opts: QueryOptions) -> Optional[float]:
+    """The monotonic-clock instant ``opts``' timeout expires, counted
+    from now; ``None`` without a timeout."""
+    if opts.timeout_seconds is None:
+        return None
+    return time.monotonic() + opts.timeout_seconds
+
+
+def check_deadline(deadline: Optional[float], opts: QueryOptions) -> None:
+    """Raise :class:`~repro.errors.QueryTimeoutError` once ``deadline``
+    (from :func:`start_deadline`) has passed."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise QueryTimeoutError(
+            f"query exceeded its {opts.timeout_seconds}s deadline",
+            timeout_seconds=opts.timeout_seconds or 0.0,
+        )
+
+
 # ---------------------------------------------------------------------
 # per-query compiled-kernel override
 # ---------------------------------------------------------------------
@@ -152,6 +173,8 @@ def kernel_override_value() -> Optional[bool]:
 __all__ = [
     "DEFAULT_OPTIONS",
     "QueryOptions",
+    "check_deadline",
     "kernel_override",
     "kernel_override_value",
+    "start_deadline",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -190,8 +190,8 @@ class Planner:
                 f"leaf predicate references {len(columns)} columns"
             )
         (column,) = columns
-        index = self._choose_index(table, column, predicate)
-        if index is None:
+        chosen = self._choose_index(table, column, predicate)
+        if chosen is None:
             if self._has_degraded_index(table, column, predicate):
                 if column not in plan.degraded_columns:
                     plan.degraded_columns.append(column)
@@ -201,30 +201,31 @@ class Planner:
             raise PlanningError(
                 f"no index on {table.name}.{column}"
             )
+        index, estimated_cost = chosen
         plan.steps.append(
             AccessStep(
                 predicate=predicate,
                 index=index,
-                estimated_cost=self.estimate_cost(index, predicate),
+                estimated_cost=estimated_cost,
             )
         )
 
     # ------------------------------------------------------------------
     def _choose_index(
         self, table: Table, column: str, predicate: Predicate
-    ) -> Optional["Index"]:
+    ) -> Optional[Tuple["Index", float]]:
+        """The cheapest healthy index serving ``predicate`` and its
+        estimated cost, each candidate estimated once; the first of
+        equally cheap candidates wins.  ``None`` when none serves."""
         candidates = [
-            index
+            (index, self.estimate_cost(index, predicate))
             for index in self.catalog.indexes_on(table.name, column)
             if index.supports(predicate)
             and not getattr(index, "degraded", False)
         ]
         if not candidates:
             return None
-        return min(
-            candidates,
-            key=lambda index: self.estimate_cost(index, predicate),
-        )
+        return min(candidates, key=lambda candidate: candidate[1])
 
     def _has_degraded_index(
         self, table: Table, column: str, predicate: Predicate

@@ -35,6 +35,7 @@ from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import (
     InvalidArgumentError,
+    QueryTimeoutError,
     RequestTimeoutError,
     ServerClosedError,
     ServerOverloadedError,
@@ -374,7 +375,9 @@ class Server:
                 self._tenant_count_locked(request.tenant, "completed")
             else:
                 self._counts["failed"] += 1
-                if isinstance(error, RequestTimeoutError):
+                if isinstance(
+                    error, (RequestTimeoutError, QueryTimeoutError)
+                ):
                     self._counts["timed_out"] += 1
                 self._tenant_count_locked(request.tenant, "failed")
             if delta:

@@ -66,7 +66,9 @@ from repro.query.executor import Executor, QueryResult
 from repro.query.options import (
     DEFAULT_OPTIONS,
     QueryOptions,
+    check_deadline,
     kernel_override,
+    start_deadline,
 )
 from repro.query.predicates import Predicate
 from repro.query.snapshot import bounded_rows, pinned_rows
@@ -192,9 +194,7 @@ class ParallelExecutor:
             return []
         nworkers = self.workers if opts.workers is None else opts.workers
         trace = opts.trace
-        deadline: Optional[float] = None
-        if opts.timeout_seconds is not None:
-            deadline = time.monotonic() + opts.timeout_seconds
+        deadline = start_deadline(opts)
         registry = self._registry()
         wall = time.perf_counter()
         cpu = time.process_time()
@@ -209,7 +209,7 @@ class ParallelExecutor:
             outcomes = []
             prefetcher: Optional[threading.Thread] = None
             for position, partition in enumerate(partitions):
-                self._check_deadline(deadline, opts)
+                check_deadline(deadline, opts)
                 prefetcher = (
                     self._start_prefetch(partitions, position + 1)
                     if opts.prefetch
@@ -297,16 +297,6 @@ class ParallelExecutor:
             return outcomes
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-
-    @staticmethod
-    def _check_deadline(
-        deadline: Optional[float], opts: QueryOptions
-    ) -> None:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise QueryTimeoutError(
-                f"query exceeded its {opts.timeout_seconds}s deadline",
-                timeout_seconds=opts.timeout_seconds or 0.0,
-            )
 
     def explain(self, predicate: Predicate) -> str:
         """Partition-aware EXPLAIN: one plan per partition, no reads."""

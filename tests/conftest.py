@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import repro.query.options
 from repro.table.table import Table
 from repro.workload.generators import uniform_column, zipf_column
 
@@ -14,6 +15,33 @@ from repro.workload.generators import uniform_column, zipf_column
 def rng():
     """Deterministic RNG for tests."""
     return random.Random(1234)
+
+
+class SteppingClock:
+    """Stands in for the ``time`` module that query deadlines read:
+    every ``monotonic()`` reading moves the clock ``step`` seconds on,
+    and ``advance`` moves it by hand — deadline tests need no sleeps.
+    """
+
+    def __init__(self) -> None:
+        self.now = 1000.0
+        self.step = 0.0
+
+    def monotonic(self) -> float:
+        self.now += self.step
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture
+def deadline_clock(monkeypatch):
+    """A frozen :class:`SteppingClock` behind every query deadline
+    (:func:`repro.query.options.start_deadline` / ``check_deadline``)."""
+    clock = SteppingClock()
+    monkeypatch.setattr(repro.query.options, "time", clock)
+    return clock
 
 
 @pytest.fixture

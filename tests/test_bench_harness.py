@@ -12,9 +12,16 @@ import json
 
 import pytest
 
-from repro.bench.compare import Comparison, all_ok, compare, divergence
+from repro.bench.compare import (
+    Comparison,
+    all_ok,
+    compare,
+    deterministic_ok,
+    divergence,
+)
 from repro.bench.runner import run_case, run_suite
 from repro.bench.schema import (
+    COMPARISON_KINDS,
     COMPARISON_MODES,
     SCHEMA_VERSION,
     assert_valid,
@@ -28,28 +35,34 @@ from repro.errors import BenchSchemaError, InvalidArgumentError
 # ----------------------------------------------------------------------
 class TestCompare:
     def test_eq_exact(self):
-        assert compare("x", 8, 8).ok
-        assert not compare("x", 8, 9).ok
+        assert compare("x", 8, 8, kind="model").ok
+        assert not compare("x", 8, 9, kind="model").ok
 
     def test_le_bound(self):
-        assert compare("x", 3, 6, mode="le").ok
-        assert compare("x", 6, 6, mode="le").ok
-        assert not compare("x", 7, 6, mode="le").ok
+        assert compare("x", 3, 6, mode="le", kind="model").ok
+        assert compare("x", 6, 6, mode="le", kind="model").ok
+        assert not compare("x", 7, 6, mode="le", kind="model").ok
 
     def test_ge_bound(self):
-        assert compare("x", 0.9, 0.83, mode="ge").ok
-        assert not compare("x", 0.5, 0.83, mode="ge").ok
+        assert compare("x", 0.9, 0.83, mode="ge", kind="model").ok
+        assert not compare("x", 0.5, 0.83, mode="ge", kind="model").ok
 
     def test_approx_within_tolerance(self):
-        assert compare("x", 21, 20, mode="approx", tolerance=0.25).ok
+        assert compare(
+            "x", 21, 20, mode="approx", tolerance=0.25, kind="model"
+        ).ok
         assert not compare(
-            "x", 30, 20, mode="approx", tolerance=0.25
+            "x", 30, 20, mode="approx", tolerance=0.25,
+            kind="model",
         ).ok
 
     def test_approx_tolerance_zero_means_exact(self):
-        assert compare("x", 20, 20, mode="approx", tolerance=0.0).ok
+        assert compare(
+            "x", 20, 20, mode="approx", tolerance=0.0, kind="model"
+        ).ok
         assert not compare(
-            "x", 21, 20, mode="approx", tolerance=0.0
+            "x", 21, 20, mode="approx", tolerance=0.0,
+            kind="model",
         ).ok
 
     def test_divergence_is_relative(self):
@@ -60,32 +73,52 @@ class TestCompare:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            compare("x", 1, 1, mode="almost")
+            compare("x", 1, 1, mode="almost", kind="model")
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            compare("x", 1, 1, tolerance=-0.1)
+            compare("x", 1, 1, tolerance=-0.1, kind="model")
 
     def test_describe_mentions_both_sides(self):
-        text = compare("c_s", 8, 8, unit="vectors").describe()
+        text = compare(
+            "c_s", 8, 8, unit="vectors", kind="model"
+        ).describe()
         assert "8" in text
         assert "vectors" in text
         assert "ok" in text
+        assert "model" in text
+
+    def test_kind_is_required(self):
+        with pytest.raises(TypeError):
+            compare("x", 1, 1)  # type: ignore[call-arg]
+
+    def test_invalid_kind_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            compare("x", 1, 1, kind="timing")
+
+    def test_deterministic_ok_ignores_perf_lines(self):
+        good = compare("a", 1, 1, kind="identity")
+        slow = compare("b", 0.4, 0.5, mode="ge", kind="perf")
+        wrong = compare("c", 1, 0, kind="model")
+        assert deterministic_ok([good, slow])
+        assert not all_ok([good, slow])
+        assert not deterministic_ok([good, slow, wrong])
 
     def test_all_ok(self):
-        good = compare("a", 1, 1)
-        bad = compare("b", 2, 1)
+        good = compare("a", 1, 1, kind="model")
+        bad = compare("b", 2, 1, kind="model")
         assert all_ok([good])
         assert not all_ok([good, bad])
 
     def test_as_dict_matches_schema_keys(self):
-        entry = compare("a", 1, 2, mode="le").as_dict()
+        entry = compare("a", 1, 2, mode="le", kind="model").as_dict()
         assert set(entry) == {
             "label",
             "unit",
             "measured",
             "predicted",
             "mode",
+            "kind",
             "divergence",
             "ok",
         }
@@ -116,6 +149,7 @@ def _valid_payload() -> dict:
                         "measured": 1,
                         "predicted": 1,
                         "mode": "eq",
+                        "kind": "model",
                         "divergence": 0.0,
                         "ok": True,
                     }
@@ -187,6 +221,18 @@ class TestSchema:
         payload["cases"][0]["results"][0]["mode"] = "fuzzy"
         assert any("'fuzzy'" in p for p in validate_payload(payload))
 
+    def test_unknown_kind_rejected(self):
+        payload = _valid_payload()
+        payload["cases"][0]["results"][0]["kind"] = "timing"
+        assert any("'timing'" in p for p in validate_payload(payload))
+
+    def test_missing_kind_flagged(self):
+        payload = _valid_payload()
+        del payload["cases"][0]["results"][0]["kind"]
+        assert any(
+            "missing key 'kind'" in p for p in validate_payload(payload)
+        )
+
     def test_assert_valid_raises_with_violations(self):
         payload = _valid_payload()
         del payload["ok"]
@@ -197,7 +243,7 @@ class TestSchema:
 
     def test_modes_cover_comparator(self):
         for mode in COMPARISON_MODES:
-            assert compare("x", 1, 1, mode=mode) is not None
+            assert compare("x", 1, 1, mode=mode, kind="model") is not None
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +277,9 @@ class TestRunner:
 
     def test_quick_suite_round_trip(self, tmp_path):
         report = run_suite(quick=True, out_dir=str(tmp_path))
-        assert report.ok
+        # Perf lines depend on the host's load; they gate the bench
+        # jobs through the payload's ``ok``, not this test.
+        assert report.deterministic_ok, report.render()
         assert report.path == str(tmp_path / "BENCH_smoke.json")
         # ISSUE acceptance: the smoke suite carries >= 2 benchmarks
         assert len(report.cases) >= 2
@@ -242,6 +290,9 @@ class TestRunner:
         assert payload["quick"] is True
         names = [case["name"] for case in payload["cases"]]
         assert "table1_example" in names
+        results = [r for case in payload["cases"] for r in case["results"]]
+        assert {r["kind"] for r in results} <= set(COMPARISON_KINDS)
+        assert payload["ok"] == all(r["ok"] for r in results)
 
     def test_suite_name_override(self, tmp_path):
         report = run_suite(
@@ -254,7 +305,8 @@ class TestRunner:
         text = report.render()
         for case in report.cases:
             assert case.name in text
-        assert f"{len(report.cases)}/{len(report.cases)} cases" in text
+        passed = sum(1 for case in report.cases if case.ok)
+        assert f"{passed}/{len(report.cases)} cases passed" in text
 
 
 # ----------------------------------------------------------------------
@@ -268,12 +320,20 @@ class TestBenchCli:
             ["bench", "--quick", "--out", str(tmp_path)]
         )
         out = capsys.readouterr().out
-        assert exit_code == 0
         assert "BENCH_smoke.json" in out
         payload = json.loads(
             (tmp_path / "BENCH_smoke.json").read_text()
         )
         assert validate_payload(payload) == []
+        # The exit status gates on every line, perf lines included.
+        assert exit_code == (0 if payload["ok"] else 1)
+        held = [
+            result["ok"]
+            for case in payload["cases"]
+            for result in case["results"]
+            if result["kind"] != "perf"
+        ]
+        assert held and all(held), out
 
 
 def test_comparison_is_immutable():
@@ -285,6 +345,7 @@ def test_comparison_is_immutable():
         unit="u",
         divergence=0.0,
         ok=True,
+        kind="model",
     )
     with pytest.raises(AttributeError):
         entry.ok = False  # type: ignore[misc]

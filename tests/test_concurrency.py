@@ -248,7 +248,7 @@ def test_database_write_vs_query_seeded_interleavings():
             if not table.is_void(row_id)
             and table.row(row_id)["product"] == value
         ]
-        assert result.row_ids() == expected, (
+        assert result.row_ids().tolist() == expected, (
             f"seed {seed}: stale index after concurrent updates"
         )
 
@@ -317,6 +317,6 @@ def test_batch_appends_vs_pinned_readers_seeded_interleavings():
             for row_id in range(len(table))
             if table.row(row_id)["product"] == value
         ]
-        assert result.row_ids() == expected, (
+        assert result.row_ids().tolist() == expected, (
             f"seed {seed}: stale index after concurrent batch appends"
         )

@@ -5,11 +5,13 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.database import Database
-from repro.errors import CorruptIndexError, SchemaError
+from repro.errors import CorruptIndexError, QueryTimeoutError, SchemaError
 from repro.index.encoded_bitmap import EncodedBitmapIndex
+from repro.query.executor import Executor
 from repro.query.options import QueryOptions
 from repro.query.predicates import Equals, InList, Range
 from repro.shard.executor import PartitionedQueryResult
@@ -78,7 +80,7 @@ class TestConstruction:
         catalog.register_index(EncodedBitmapIndex(table, "v"))
         db = Database.from_catalog(catalog)
         result = db.query("t", Equals("v", "a"))
-        assert result.row_ids() == [0, 2]
+        assert result.row_ids().tolist() == [0, 2]
         assert "t.v" in db.fsck()
 
 
@@ -92,14 +94,14 @@ class TestQueries:
         ):
             result = db.query("sales", predicate)
             assert isinstance(result, PartitionedQueryResult)
-            assert result.row_ids() == reference_rows(
+            assert result.row_ids().tolist() == reference_rows(
                 db, "sales", predicate
             )
 
     def test_plain_query_matches_reference(self):
         db = make_db()
         result = db.query("dim", InList("k", ["x", "z"]))
-        assert result.row_ids() == [0, 2, 3]
+        assert result.row_ids().tolist() == [0, 2, 3]
 
     def test_workers_override_is_deterministic(self):
         db = make_db()
@@ -127,7 +129,7 @@ class TestQueries:
             assert len(batch) == len(preds)
             for predicate, result in zip(preds, batch):
                 solo = db.query(name, predicate)
-                assert result.row_ids() == solo.row_ids()
+                assert np.array_equal(result.row_ids(), solo.row_ids())
 
     def test_explain_both_shapes(self):
         db = make_db()
@@ -145,6 +147,52 @@ class TestQueries:
         assert "PARTITIONED" in result.trace.plan_text
 
 
+class TestPlainTableTimeouts:
+    """``timeout_seconds`` on a plain table is checked before execution
+    and between batch members, against a stepped clock."""
+
+    DIM = [Equals("k", "x"), Equals("k", "y"), Equals("k", "z")]
+
+    def test_query_raises_once_the_deadline_passes(self, deadline_clock):
+        db = make_db()
+        opts = QueryOptions(timeout_seconds=5.0)
+        assert db.query("dim", self.DIM[0], opts).row_ids().tolist() == [
+            0,
+            3,
+        ]
+        deadline_clock.step = 100.0
+        with pytest.raises(QueryTimeoutError):
+            db.query("dim", self.DIM[0], opts)
+
+    def test_query_many_stops_between_members(
+        self, deadline_clock, monkeypatch
+    ):
+        db = make_db()
+        executed = []
+        execute = Executor.execute
+
+        def slow_execute(self, plan, trace=False):
+            executed.append(plan)
+            deadline_clock.advance(100.0)
+            return execute(self, plan, trace=trace)
+
+        monkeypatch.setattr(Executor, "execute", slow_execute)
+        with pytest.raises(QueryTimeoutError):
+            db.query_many("dim", self.DIM, QueryOptions(timeout_seconds=5.0))
+        assert len(executed) == 1
+        batch = db.query_many("dim", self.DIM)
+        assert [r.row_ids().tolist() for r in batch] == [[0, 3], [1], [2]]
+
+    def test_query_many_checks_before_the_first_member(
+        self, deadline_clock
+    ):
+        deadline_clock.step = 100.0
+        with pytest.raises(QueryTimeoutError):
+            make_db().query_many(
+                "dim", self.DIM, QueryOptions(timeout_seconds=5.0)
+            )
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         db = make_db()
@@ -160,9 +208,12 @@ class TestPersistence:
         loaded = Database.load(str(tmp_path))
         assert loaded.is_partitioned("sales")
         result = loaded.query("sales", predicate)
-        assert result.row_ids() == expected
+        assert np.array_equal(result.row_ids(), expected)
         assert not result.degraded
-        assert loaded.query("dim", Equals("k", "x")).row_ids() == [0, 3]
+        assert (
+            loaded.query("dim", Equals("k", "x")).row_ids().tolist()
+            == [0, 3]
+        )
 
     def test_bounds_survive_append_heavy_tables(self, tmp_path):
         # Appends only grow the last partition, so re-deriving bounds
@@ -186,7 +237,9 @@ class TestPersistence:
         assert [len(p) for p in reloaded.partitions] == [
             len(p) for p in table.partitions
         ]
-        assert loaded.query("t", Equals("v", 3)).row_ids() == expected
+        assert np.array_equal(
+            loaded.query("t", Equals("v", 3)).row_ids(), expected
+        )
 
     def test_void_rows_survive_round_trip(self, tmp_path):
         db = make_db()
@@ -195,7 +248,7 @@ class TestPersistence:
         db.save(str(tmp_path))
         loaded = Database.load(str(tmp_path))
         assert loaded.table("sales").is_void(70)
-        assert loaded.query("dim", Equals("k", "y")).row_ids() == []
+        assert loaded.query("dim", Equals("k", "y")).row_ids().tolist() == []
 
     def test_version_mismatch_rejected(self, tmp_path):
         db = make_db()
@@ -231,7 +284,7 @@ class TestDegradedLoop:
         result = loaded.query("sales", predicate)
         # Correct answer anyway: the damaged partition fell back to a
         # scan, and only that slice reports degraded.
-        assert result.row_ids() == expected
+        assert np.array_equal(result.row_ids(), expected)
         assert result.degraded
         assert [s.degraded for s in result.partitions] == [
             False,
@@ -256,7 +309,7 @@ class TestDegradedLoop:
         assert "sales.product.p2" in reports
         result = loaded.query("sales", predicate)
         assert not result.degraded
-        assert result.row_ids() == expected
+        assert np.array_equal(result.row_ids(), expected)
 
     def test_missing_payload_also_degrades(self, tmp_path):
         db = make_db()
@@ -265,7 +318,7 @@ class TestDegradedLoop:
         loaded = Database.load(str(tmp_path))
         result = loaded.query("sales", Equals("product", 5))
         assert result.degraded
-        assert result.row_ids() == reference_rows(
+        assert result.row_ids().tolist() == reference_rows(
             loaded, "sales", Equals("product", 5)
         )
 
@@ -286,4 +339,7 @@ class TestDegradedLoop:
         predicate = Equals("product", 5)
         result = db.query("sales", predicate)
         assert not result.degraded
-        assert result.row_ids() == reference_rows(db, "sales", predicate)
+        assert (
+            result.row_ids().tolist()
+            == reference_rows(db, "sales", predicate)
+        )

@@ -81,7 +81,7 @@ class TestStarSchemaQueries:
         in_list = schema.rollup_in_list("salespoint", "alliance", "Z")
         predicate = InList("branch", in_list)
         result = executor.select(sales, predicate)
-        assert result.row_ids() == matching_rows(sales, predicate)
+        assert result.row_ids().tolist() == matching_rows(sales, predicate)
         assert not result.used_scan
 
     def test_rollup_cost_below_worst_case(self, warehouse):
@@ -112,7 +112,7 @@ class TestStarSchemaQueries:
             & Range("amount", 100, 900)
         )
         result = executor.select(sales, predicate)
-        assert result.row_ids() == matching_rows(sales, predicate)
+        assert result.row_ids().tolist() == matching_rows(sales, predicate)
 
     def test_group_by_alliance_members(self, warehouse):
         schema, catalog = warehouse

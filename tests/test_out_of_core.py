@@ -19,6 +19,7 @@ Covers the spill/evict/fault-in tier end to end (docs/out_of_core.md):
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -382,7 +383,7 @@ class TestDatabaseOutOfCore:
                 expected = resident.query("facts", predicate, opts)
                 for _ in range(3):  # cycle spill/fault repeatedly
                     got = budgeted.query("facts", predicate, opts)
-                    assert got.row_ids() == expected.row_ids()
+                    assert np.array_equal(got.row_ids(), expected.row_ids())
                     assert (
                         got.cost.vectors_accessed
                         == expected.cost.vectors_accessed

@@ -1,5 +1,6 @@
 """Unit tests for repro.query.planner and repro.query.executor."""
 
+import numpy as np
 import pytest
 
 from repro.index.btree import BPlusTreeIndex
@@ -76,6 +77,50 @@ class TestPlanner:
         assert "region" in text
         assert "simple-bitmap" in text
 
+    def test_each_candidate_estimated_once_per_leaf(
+        self, catalog, sales_table, monkeypatch
+    ):
+        calls = []
+        estimate = Planner.estimate_cost
+
+        def spy(self, index, predicate):
+            calls.append((index, predicate))
+            return estimate(self, index, predicate)
+
+        monkeypatch.setattr(Planner, "estimate_cost", spy)
+        planner = Planner(catalog)
+        plan = planner.plan(
+            sales_table,
+            InList("product", [100, 101, 102])
+            & Range("qty", 1, 10)
+            & Equals("region", "N"),
+        )
+        # product has two supporting indexes, qty and region one each.
+        assert len(calls) == 4
+        assert len({(id(i), id(p)) for i, p in calls}) == 4
+        for step in plan.steps:
+            assert step.estimated_cost == estimate(
+                planner, step.index, step.predicate
+            )
+
+    def test_equal_estimates_keep_the_first_registered_index(
+        self, sales_table
+    ):
+        first = EncodedBitmapIndex(sales_table, "product")
+        second = EncodedBitmapIndex(sales_table, "product")
+        predicate = InList("product", [100, 101])
+        for order in ((first, second), (second, first)):
+            catalog = Catalog()
+            catalog.register_table(sales_table)
+            for index in order:
+                catalog.register_index(index, attach=False)
+            planner = Planner(catalog)
+            assert planner.estimate_cost(
+                first, predicate
+            ) == planner.estimate_cost(second, predicate)
+            (step,) = planner.plan(sales_table, predicate).steps
+            assert step.index is order[0]
+
 
 class TestExecutor:
     @pytest.mark.parametrize(
@@ -94,7 +139,10 @@ class TestExecutor:
         predicate = pred_factory()
         executor = Executor(catalog)
         result = executor.select(sales_table, predicate)
-        assert result.row_ids() == matching_rows(sales_table, predicate)
+        assert (
+            result.row_ids().tolist()
+            == matching_rows(sales_table, predicate)
+        )
         assert not result.used_scan
 
     def test_cost_accumulates(self, catalog, sales_table):
@@ -116,7 +164,7 @@ class TestExecutor:
         predicate = Equals("x", 1)
         result = executor.select(bare, predicate)
         assert result.used_scan
-        assert result.row_ids() == matching_rows(bare, predicate)
+        assert result.row_ids().tolist() == matching_rows(bare, predicate)
         assert result.cost.rows_checked == 10
 
     def test_cooperativity_multi_attribute(self, catalog, sales_table):
@@ -129,12 +177,29 @@ class TestExecutor:
             & Range("qty", 1, 40)
         )
         result = executor.select(sales_table, predicate)
-        assert result.row_ids() == matching_rows(sales_table, predicate)
+        assert (
+            result.row_ids().tolist()
+            == matching_rows(sales_table, predicate)
+        )
 
     def test_count_and_rows(self, catalog, sales_table):
         executor = Executor(catalog)
         result = executor.select(sales_table, Equals("region", "E"))
         assert result.count() == len(result.row_ids())
+
+
+class TestRowIds:
+    def test_fresh_ascending_int64_array(self, catalog, sales_table):
+        result = Executor(catalog).select(
+            sales_table, InList("product", [100, 105, 110])
+        )
+        ids = result.row_ids()
+        assert isinstance(ids, np.ndarray)
+        assert ids.dtype == np.int64
+        assert ids.size > 1
+        assert bool(np.all(np.diff(ids) > 0))
+        assert np.array_equal(ids, np.flatnonzero(result.vector.to_mask()))
+        assert ids is not result.row_ids()
 
 
 class TestAggregatePushdown:

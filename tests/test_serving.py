@@ -23,6 +23,7 @@ import pytest
 from repro.database import Database
 from repro.errors import (
     InvalidArgumentError,
+    QueryTimeoutError,
     QuotaExceededError,
     RequestTimeoutError,
     ServerClosedError,
@@ -218,7 +219,10 @@ class TestServer:
                 InList("region", ["S", "E"]),
             ):
                 result = server.query("sales", predicate)
-                assert result.row_ids() == matching_rows(table, predicate)
+                assert (
+                    result.row_ids().tolist()
+                    == matching_rows(table, predicate)
+                )
         db.close()
 
     def test_second_identical_request_is_served_cached(self):
@@ -316,6 +320,31 @@ class TestServer:
             assert stats.shed == 1
         finally:
             gate.release.set()
+            server.close()
+            db.close()
+
+    def test_plain_table_request_times_out_in_execution(
+        self, deadline_clock
+    ):
+        db = make_db(rows=96)
+        assert not db.is_partitioned("sales")
+        server = Server(database=db, workers=1)
+        try:
+            # Real time keeps the request inside its deadline while it
+            # is queued; the stepped clock behind the query's own
+            # deadline check then jumps past it.
+            deadline_clock.step = 100.0
+            with pytest.raises(QueryTimeoutError):
+                server.query(
+                    "sales",
+                    Equals("region", "N"),
+                    options=QueryOptions(timeout_seconds=30.0),
+                )
+            server.close()  # join workers so the failure is recorded
+            stats = server.stats()
+            assert stats.timed_out == 1
+            assert stats.completed == 0
+        finally:
             server.close()
             db.close()
 
@@ -662,7 +691,7 @@ class TestSyntheticWorkload:
                 Equals(workload.COLUMN, workload.values[0]),
             )
             table = db.table(workload.TABLE)
-            assert result.row_ids() == matching_rows(
+            assert result.row_ids().tolist() == matching_rows(
                 table, Equals(workload.COLUMN, workload.values[0])
             )
         finally:

@@ -3,6 +3,7 @@ and the partition-parallel executor's determinism guarantees."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.database import Database
@@ -140,7 +141,7 @@ class TestParallelExecutor:
         executor = ParallelExecutor(parted)
         predicate = InList("product", [2, 7])
         result = executor.execute(predicate)
-        assert result.row_ids() == matching_rows(plain, predicate)
+        assert result.row_ids().tolist() == matching_rows(plain, predicate)
         assert not result.used_scan
         assert len(result.partitions) == len(parted.partitions)
 
@@ -150,7 +151,7 @@ class TestParallelExecutor:
         executor = ParallelExecutor(parted)
         predicate = Range("qty", 20, 60)
         result = executor.execute(predicate)
-        assert result.row_ids() == matching_rows(plain, predicate)
+        assert result.row_ids().tolist() == matching_rows(plain, predicate)
         assert result.used_scan
 
     def test_explain_reads_nothing(self):
@@ -212,8 +213,75 @@ class TestDeterminism:
         ):
             parallel = executor.execute(predicate)
             reference = classic.select(plain, predicate)
-            assert parallel.row_ids() == reference.row_ids()
+            assert np.array_equal(parallel.row_ids(), reference.row_ids())
             assert any(s.vector_scan for s in parallel.partitions)
+
+
+class TestRowIdsContract:
+    """``row_ids()`` is one fresh ascending int64 array whichever path
+    answered: plain or partitioned, any worker count, cache hit."""
+
+    @staticmethod
+    def values():
+        rng = random.Random(5)
+        return [rng.randrange(20) for _ in range(700)]
+
+    def make_db(self, partitions):
+        db = Database()
+        db.create_table(
+            "sales", {"product": self.values()}, partitions=partitions
+        )
+        db.create_index("sales", "product")
+        return db
+
+    def test_every_path_returns_the_same_array(self):
+        predicate = InList("product", [2, 7, 11])
+        expected = np.flatnonzero(np.isin(self.values(), [2, 7, 11]))
+        assert expected.size > 0
+        answers = []
+        for partitions in (None, 4):
+            db = self.make_db(partitions)
+            for workers in (1, 4):
+                answers.append(
+                    db.query(
+                        "sales", predicate, QueryOptions(workers=workers)
+                    ).row_ids()
+                )
+            cached = QueryOptions(workers=4, use_cache=True)
+            db.query("sales", predicate, cached)
+            hit = db.query("sales", predicate, cached)
+            assert hit.cached
+            answers.append(hit.row_ids())
+        assert len(answers) == 6
+        for ids in answers:
+            assert ids.dtype == np.int64
+            assert np.array_equal(ids, expected)
+
+    @pytest.mark.parametrize("partitions", [None, 4])
+    def test_empty_result_is_an_empty_int64_array(self, partitions):
+        ids = self.make_db(partitions).query(
+            "sales", Equals("product", 99)
+        ).row_ids()
+        assert ids.dtype == np.int64
+        assert ids.shape == (0,)
+
+    @pytest.mark.parametrize("partitions", [None, 4])
+    def test_writes_leave_result_and_cache_entry_untouched(
+        self, partitions
+    ):
+        db = self.make_db(partitions)
+        predicate = InList("product", [3, 9])
+        opts = QueryOptions(use_cache=True)
+        filled = db.query("sales", predicate, opts)
+        expected = filled.row_ids()
+        filled.row_ids()[:] = -1
+        hit = db.query("sales", predicate, opts)
+        assert hit.cached
+        hit.row_ids()[:] = -1
+        again = db.query("sales", predicate, opts)
+        assert again.cached
+        for result in (filled, hit, again):
+            assert np.array_equal(result.row_ids(), expected)
 
 
 class TestBatchExecution:
@@ -229,7 +297,7 @@ class TestBatchExecution:
         batch = executor.execute_many(predicates)
         for predicate, result in zip(predicates, batch):
             solo = executor.execute(predicate)
-            assert result.row_ids() == solo.row_ids()
+            assert np.array_equal(result.row_ids(), solo.row_ids())
 
     @pytest.mark.parametrize("partitions", [None, 4])
     def test_batch_duplicates_match_solo_rows_and_ce(self, partitions):
@@ -256,7 +324,9 @@ class TestBatchExecution:
             batch = db.query_many("sales", predicates, opts)
             for predicate, result in zip(predicates, batch):
                 solo = db.query("sales", predicate, opts)
-                assert result.row_ids() == solo.row_ids(), predicate
+                assert np.array_equal(
+                    result.row_ids(), solo.row_ids()
+                ), predicate
                 assert (
                     result.cost.vectors_accessed
                     == solo.cost.vectors_accessed
