@@ -509,39 +509,43 @@ def case_kernel_eval(
     n: int,
     workers: Sequence[int] = (1, 4),
 ) -> List[Comparison]:
-    """Compiled retrieval kernels + cache stack vs the legacy tree walk.
+    """Compiled retrieval kernels + cache stack vs the reference walk.
 
-    Two identical partitioned index stacks over one shared global
-    mapping: the default (``use_kernels=True``: compiled word-level
-    kernels, process-wide reduction/compile caches) against the legacy
-    reference configuration (``use_kernels=False``: tree-walking
-    ``evaluate_dnf``, per-index-only reduction memoisation).  The
+    One partitioned index stack over one shared global mapping
+    (compiled word-level kernels, process-wide reduction/compile
+    caches) against the Section 3 reference computed directly on its
+    children: for every partition, the uncached Quine-McCluskey
+    ``reduce_values`` of the predicate's codes, evaluated by the
+    tree-walking ``evaluate_dnf`` over the child's vectors.  The
     speedup line times one *cold* batch of distinct IN-list queries
-    per stack at ``workers=1`` — every per-index and process-wide
-    cache cleared first — so the baseline pays Quine-McCluskey in
-    every partition while the kernel stack reduces and compiles once
-    per predicate and shares the result across partitions.
+    each way at ``workers=1`` — every per-index and process-wide cache
+    cleared first — so the reference pays Quine-McCluskey in every
+    partition while the kernel stack reduces and compiles once per
+    predicate and shares the result across partitions.
 
-    The eq-0 lines pin the correctness contract: kernel and tree
-    stacks must return identical rows with identical access accounting
-    (the paper's ``c_e``), and the kernel stack must be deterministic
-    across worker counts.  The popcount lines bench the word-popcount
-    dispatch (``np.bitwise_count`` or the 16-bit LUT) against the
-    legacy ``unpackbits`` path on the same words.
+    The eq-0 lines pin the correctness contract: the kernel stack must
+    return the reference's rows with the reference's access
+    accounting (the paper's ``c_e``, summed over partitions), and
+    must be deterministic across worker counts.  The popcount lines
+    bench the word-popcount dispatch (``np.bitwise_count`` or the
+    16-bit LUT) against the legacy ``unpackbits`` path on the same
+    words.
     """
     import random
     import time
 
+    from repro.bitmap.bitvector import BitVector
     from repro.bitmap.ops import (
         popcount_words,
         popcount_words_unpackbits,
     )
+    from repro.boolean.evaluator import AccessCounter, evaluate_dnf
     from repro.boolean.reduction import (
         clear_reduction_cache,
+        reduce_values,
         reduction_cache_stats,
     )
     from repro.encoding.mapping import MappingTable
-    from repro.index.base import Index
     from repro.index.encoded_bitmap import EncodedBitmapIndex
     from repro.kernels import clear_compile_cache, compile_cache_stats
     from repro.query.predicates import InList, Predicate
@@ -550,9 +554,9 @@ def case_kernel_eval(
     from repro.shard.partition import PartitionedTable
 
     values = [(i * 48271) % KERNEL_DOMAIN for i in range(n)]
-    # One mapping for every partition of both stacks: identical codes
-    # mean identical cache keys, which is what unlocks cross-partition
-    # sharing (see repro.shard.executor's module docstring).
+    # One mapping for every partition: identical codes mean identical
+    # cache keys, which is what unlocks cross-partition sharing (see
+    # repro.shard.executor's module docstring).
     mapping = MappingTable.from_values(
         list(range(KERNEL_DOMAIN)), reserve_void_zero=True
     )
@@ -562,81 +566,98 @@ def case_kernel_eval(
         for _ in range(KERNEL_QUERIES)
     ]
 
-    def build_stack(
-        name: str, use_kernels: bool
-    ) -> Tuple[ParallelExecutor, List[Index]]:
-        ptable = PartitionedTable.from_columns(
-            name, {"v": values}, partitions=KERNEL_PARTITIONS
-        )
-        index = PartitionedIndex(
-            ptable,
-            "v",
-            factory=lambda table, column: EncodedBitmapIndex(
-                table, column, encoding=mapping, use_kernels=use_kernels
-            ),
-        )
-        return ParallelExecutor(ptable, workers=max(counts)), index.children
+    counts = sorted(set(workers))
+    low, high = counts[0], counts[-1]
+    ptable = PartitionedTable.from_columns(
+        "kernel_eval", {"v": values}, partitions=KERNEL_PARTITIONS
+    )
+    children: List[EncodedBitmapIndex] = PartitionedIndex(
+        ptable,
+        "v",
+        factory=lambda table, column: EncodedBitmapIndex(
+            table, column, encoding=mapping
+        ),
+    ).children  # type: ignore[assignment]
+    executor = ParallelExecutor(ptable, workers=high)
 
-    def clear_all(children: List[Index]) -> None:
+    def reference(predicate: Predicate) -> Tuple[BitVector, int]:
+        """Rows and ``c_e`` of ``predicate`` by uncached reduction and
+        tree walk, partition by partition."""
+        parts: List[BitVector] = []
+        c_e = 0
         for child in children:
-            child.clear_caches()  # type: ignore[attr-defined]
+            codes = sorted(
+                child.mapping.encode(value)
+                for value in child.predicate_values(predicate)
+            )
+            function = reduce_values(
+                codes,
+                child.width,
+                dont_cares=child.mapping.unused_codes(),
+                exact=True,
+            )
+            counter = AccessCounter()
+            parts.append(
+                evaluate_dnf(
+                    function, child.vector, len(child.table), counter
+                )
+            )
+            c_e += counter.distinct_accesses
+        return BitVector.concat(parts), c_e
+
+    def clear_all() -> None:
+        for child in children:
+            child.clear_caches()
         clear_reduction_cache()
         clear_compile_cache()
 
-    def cold_batch_seconds(
-        executor: ParallelExecutor, children: List[Index]
-    ) -> float:
+    def best_cold_seconds(run: Callable[[], object]) -> float:
         # Best of three fully-cold passes: each starts with every
         # per-index and process-wide cache empty, so a pass measures
         # the whole reduce -> (compile ->) evaluate pipeline, not a
         # warmed-up remnant of the previous one.
         best = float("inf")
         for _attempt in range(3):
-            clear_all(children)
+            clear_all()
             start = time.perf_counter()
-            executor.execute_many(predicates, QueryOptions(workers=1))
+            run()
             best = min(best, time.perf_counter() - start)
         return best
 
-    counts = sorted(set(workers))
-    low, high = counts[0], counts[-1]
-    kernel_exec, kernel_children = build_stack("kernel_on", True)
-    tree_exec, tree_children = build_stack("kernel_off", False)
-
-    tree_seconds = cold_batch_seconds(tree_exec, tree_children)
-    kernel_seconds = cold_batch_seconds(kernel_exec, kernel_children)
+    tree_seconds = best_cold_seconds(
+        lambda: [reference(predicate) for predicate in predicates]
+    )
+    kernel_seconds = best_cold_seconds(
+        lambda: executor.execute_many(predicates, QueryOptions(workers=1))
+    )
 
     # One more cold batch, instrumented: the process-wide cache hit
     # deltas show partitions actually sharing reductions and kernels.
-    clear_all(kernel_children)
+    clear_all()
     red_hits_before = reduction_cache_stats()[0]
     comp_hits_before = compile_cache_stats()[0]
-    kernel_high = kernel_exec.execute_many(
+    kernel_high = executor.execute_many(
         predicates, QueryOptions(workers=high)
     )
     red_hits = reduction_cache_stats()[0] - red_hits_before
     comp_hits = compile_cache_stats()[0] - comp_hits_before
     # Warm runs for the determinism lines (cache state no longer
     # changes, so only worker count varies between the two).
-    kernel_low = kernel_exec.execute_many(
-        predicates, QueryOptions(workers=low)
-    )
-    kernel_high = kernel_exec.execute_many(
+    kernel_low = executor.execute_many(predicates, QueryOptions(workers=low))
+    kernel_high = executor.execute_many(
         predicates, QueryOptions(workers=high)
     )
-    tree_high = tree_exec.execute_many(
-        predicates, QueryOptions(workers=high)
-    )
+    references = [reference(predicate) for predicate in predicates]
 
     tree_row_mismatches = sum(
         1
-        for a, b in zip(kernel_high, tree_high)
-        if not np.array_equal(a.row_ids(), b.row_ids())
+        for result, (rows, _c_e) in zip(kernel_high, references)
+        if not np.array_equal(result.row_ids(), rows.indices())
     )
     tree_ce_mismatches = sum(
         1
-        for a, b in zip(kernel_high, tree_high)
-        if a.cost.vectors_accessed != b.cost.vectors_accessed
+        for result, (_rows, c_e) in zip(kernel_high, references)
+        if result.cost.vectors_accessed != c_e
     )
     worker_mismatches = sum(
         1
@@ -1108,9 +1129,9 @@ def case_compression(tolerance: float, *, n: int) -> List[Comparison]:
     The eq-0 lines pin the compressed-execution contract: one
     compiled kernel must return identical rows and identical access
     accounting (the paper's ``c_e``) on packed planes, on word-aligned
-    runs, and through the legacy tree walk — and, mapped back through
-    each permutation, every ordering must select the same original
-    rows.
+    runs, and through the ``evaluate_dnf`` tree walk — and, mapped
+    back through each permutation, every ordering must select the
+    same original rows.
     """
     import random
     import time
@@ -1858,7 +1879,7 @@ def kernel_case(
         name="kernel_eval_smoke" if quick else "kernel_eval_1m",
         description=(
             f"compiled retrieval kernels + reduction/compile caches vs "
-            f"the legacy tree walk over {n} rows in "
+            f"uncached reduction + evaluate_dnf over {n} rows in "
             f"{KERNEL_PARTITIONS} partitions (docs/performance.md)"
         ),
         run=lambda tolerance: case_kernel_eval(

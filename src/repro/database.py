@@ -76,7 +76,6 @@ from repro.query.options import (
     DEFAULT_OPTIONS,
     QueryOptions,
     check_deadline,
-    kernel_override,
     start_deadline,
 )
 from repro.query.predicates import Predicate
@@ -348,7 +347,7 @@ class Database:
         :class:`~repro.query.options.QueryOptions`: worker count for
         partitioned tables (which return a
         :class:`~repro.shard.executor.PartitionedQueryResult`),
-        kernel override, snapshot pin, timeout, tenant stamp — and
+        snapshot pin, timeout, tenant stamp — and
         ``use_cache=True``, which serves repeat retrievals from
         :attr:`result_cache` bit-identically (rows *and* ``c_e``) to
         uncached execution.  Traced or snapshot-pinned queries bypass
@@ -404,7 +403,6 @@ class Database:
         executor = Executor(self.catalog, registry=self.registry)
         table = self.catalog.table(table_name)
         with ExitStack() as stack:
-            stack.enter_context(kernel_override(opts.use_kernels))
             if opts.snapshot_rows is not None:
                 stack.enter_context(
                     pinned_rows(table, rows=opts.snapshot_rows)
@@ -445,11 +443,7 @@ class Database:
         # concurrent ingester cannot produce torn results (queries
         # early in the batch seeing fewer rows than later ones); a
         # caller-supplied ``snapshot_rows`` pins tighter.
-        with ExitStack() as stack:
-            stack.enter_context(kernel_override(opts.use_kernels))
-            stack.enter_context(
-                pinned_rows(table, rows=opts.snapshot_rows)
-            )
+        with pinned_rows(table, rows=opts.snapshot_rows):
             results = []
             for predicate in predicates:
                 check_deadline(deadline, opts)
@@ -648,29 +642,19 @@ class Database:
             )
         return dict(zip(names, values))
 
-    def explain(
-        self,
-        table_name: str,
-        predicate: Predicate,
-        options: Optional[QueryOptions] = None,
-    ) -> str:
+    def explain(self, table_name: str, predicate: Predicate) -> str:
         """EXPLAIN without reading any vectors.
 
         Partitioned tables render one plan per partition with row
-        spans; plain tables render the classic single plan.  Accepts
-        the same ``options`` object as :meth:`query` (so call sites
-        can reuse one), though planning only consults the kernel
-        override.
+        spans; plain tables render the classic single plan.
         """
-        opts = options if options is not None else DEFAULT_OPTIONS
-        with kernel_override(opts.use_kernels):
-            if table_name in self._partitioned:
-                return self._executor(table_name).explain(predicate)
-            executor = Executor(self.catalog, registry=self.registry)
-            plan = executor.planner.plan(
-                self.catalog.table(table_name), predicate
-            )
-            return plan.explain()
+        if table_name in self._partitioned:
+            return self._executor(table_name).explain(predicate)
+        executor = Executor(self.catalog, registry=self.registry)
+        plan = executor.planner.plan(
+            self.catalog.table(table_name), predicate
+        )
+        return plan.explain()
 
     def _executor(self, table_name: str) -> ParallelExecutor:
         with self._lock:

@@ -20,13 +20,17 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.bitmap.bitvector import BitVector
-from repro.boolean.evaluator import AccessCounter, evaluate_dnf
+from repro.boolean.evaluator import AccessCounter
 from repro.boolean.reduction import (
     ReducedFunction,
     minterm_dnf,
-    reduce_values,
     reduce_values_cached,
 )
+
+# The index never calls the uncached reducer, but perfbench's layer
+# tracer (perfbench/tracer.py) wraps ``reduce_values`` by name in this
+# module's namespace, so the name must stay importable from here.
+from repro.boolean.reduction import reduce_values  # noqa: F401
 from repro.encoding.mapping import NULL, VOID, MappingTable
 from repro.errors import (
     IndexBuildError,
@@ -49,7 +53,6 @@ from repro.kernels import (
     write_plane_file,
 )
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.query.options import kernel_override_value
 from repro.query.predicates import Equals, InList, IsNull, Predicate, Range
 from repro.query.snapshot import snapshot_rows
 from repro.table.table import Table
@@ -81,15 +84,6 @@ class EncodedBitmapIndex(Index):
     exact_reduction:
         Use exact minimal covers during logical reduction (disable for
         very wide indexes where greedy covers are preferred).
-    use_kernels:
-        Evaluate reduced functions through compiled word-level kernels
-        (:mod:`repro.kernels`) instead of the tree-walking
-        ``evaluate_dnf``.  On by default; ``False`` restores the full
-        legacy reference configuration — tree-walk evaluation *and*
-        per-index-only reduction memoisation (the process-wide
-        reduction cache is bypassed), which differential tests and
-        ablation benches compare against.  Access accounting (``c_e``)
-        is bit-identical either way.
     plane_format:
         ``"packed"`` (default) snapshots the planes into a dense
         :class:`~repro.kernels.planes.PlaneSet` matrix;
@@ -114,7 +108,6 @@ class EncodedBitmapIndex(Index):
         void_mode: str = "encode",
         null_mode: str = "encode",
         exact_reduction: bool = True,
-        use_kernels: bool = True,
         plane_format: str = "packed",
     ) -> None:
         super().__init__(table, column_name, registry=registry)
@@ -138,19 +131,16 @@ class EncodedBitmapIndex(Index):
         self._null_vector: Optional[BitVector] = (
             BitVector(len(table)) if null_mode == "vector" else None
         )
-        self._init_caches(use_kernels=use_kernels, plane_format=plane_format)
+        self._init_caches(plane_format=plane_format)
         self._build()
 
-    def _init_caches(
-        self, use_kernels: bool = True, plane_format: str = "packed"
-    ) -> None:
+    def _init_caches(self, plane_format: str = "packed") -> None:
         """Set up the lookup-side cache state.
 
         Factored out of ``__init__`` because deserialisation
         (:func:`repro.index.serialization.loads`) restores an index via
         ``__new__`` and must initialise the same state.
         """
-        self._use_kernels = use_kernels
         if plane_format not in ("packed", "compressed"):
             raise InvalidArgumentError(
                 f"bad plane_format {plane_format!r}"
@@ -193,26 +183,6 @@ class EncodedBitmapIndex(Index):
         self.plane_spills = 0
         self.plane_promotions = 0
 
-    @property
-    def use_kernels(self) -> bool:
-        """Whether lookups take the compiled-kernel path.
-
-        The per-query thread-local override installed by
-        :func:`repro.query.options.kernel_override` (the
-        ``QueryOptions.use_kernels`` knob) wins over the index's own
-        construction-time setting, so ablation runs can force the
-        legacy tree walk for one query without mutating shared index
-        state.
-        """
-        override = kernel_override_value()
-        if override is not None:
-            return override
-        return self._use_kernels
-
-    @use_kernels.setter
-    def use_kernels(self, value: bool) -> None:
-        self._use_kernels = bool(value)
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -253,10 +223,13 @@ class EncodedBitmapIndex(Index):
         """Bulk-build the bit planes from the current table contents.
 
         One Python pass computes the per-row code array; the planes are
-        then sliced out of it with vectorised shifts (one
+        then sliced out of it with vectorised masks (one
         :meth:`BitVector.from_mask` per plane) instead of ``k``
         single-bit writes per row — the difference between seconds and
-        minutes on the million-row bench tables.
+        minutes on the million-row bench tables.  The code array uses
+        the narrowest unsigned dtype that holds ``2^k - 1``, so it and
+        each plane's mask temporary take one byte per row for
+        ``k <= 8`` instead of eight.
         """
         n = self._row_count()
         if n == 0:
@@ -264,7 +237,8 @@ class EncodedBitmapIndex(Index):
         column = self.table.column(self.column_name)
         void = self.table.void_rows()
         void_code = self._void_code()
-        codes = np.empty(n, dtype=np.uint64)
+        dtype = np.min_scalar_type((1 << len(self._vectors)) - 1)
+        codes = np.empty(n, dtype=dtype)
         null_rows: List[int] = []
         for row_id in range(n):
             if row_id in void:
@@ -275,7 +249,7 @@ class EncodedBitmapIndex(Index):
                 if value is None and self._null_vector is not None:
                     null_rows.append(row_id)
         for i in range(len(self._vectors)):
-            mask = (codes >> np.uint64(i)) & np.uint64(1)
+            mask = codes & dtype.type(1 << i)
             # One bulk allocation per *plane* (k total), not per row —
             # this is the hoisted form EBI102 pushes loops towards.
             self._vectors[i] = BitVector.from_mask(mask != 0)  # ebilint: disable=EBI102
@@ -380,16 +354,6 @@ class EncodedBitmapIndex(Index):
             from repro.boolean.intervals import reduce_interval
 
             return reduce_interval(codes[0], codes[-1], self.width)
-        if not self.use_kernels:
-            # Legacy reference configuration: bypass the process-wide
-            # cache so ablation benches measure the pre-kernel cost
-            # model, where every index pays Quine-McCluskey itself.
-            return reduce_values(
-                codes,
-                self.width,
-                dont_cares=self._mapping.unused_codes(),
-                exact=self.exact_reduction,
-            )
         # Through the process-wide LRU: Quine-McCluskey runs once per
         # distinct (codes, width, don't-cares) shape, even when many
         # partition-local indexes share one mapping.
@@ -499,21 +463,6 @@ class EncodedBitmapIndex(Index):
     #: appends instead of one cache invalidation per append).
     DELTA_COMPACT_THRESHOLD = 4096
 
-    def _delta_active(self) -> bool:
-        """Whether appends land in the delta tier.
-
-        Requires the kernel path (the delta merges into a kernel
-        result) and the Theorem 2.1 encodings — under the ablation
-        ``"vector"`` modes the existence/NULL vectors must track every
-        row eagerly anyway, so those configurations keep the legacy
-        bump-per-write protocol.
-        """
-        return (
-            self.use_kernels
-            and self.void_mode == "encode"
-            and self.null_mode == "encode"
-        )
-
     def epoch(self) -> Tuple[int, int]:
         """The snapshot epoch ``(_data_version, _delta_seq)``.
 
@@ -540,8 +489,6 @@ class EncodedBitmapIndex(Index):
         half-swapped state.  Returns ``True`` when a fold happened.
         Idempotent and cheap when there is nothing to fold.
         """
-        if not self._delta_active():
-            return False
         with self._lock:
             if (
                 not self._delta
@@ -769,52 +716,39 @@ class EncodedBitmapIndex(Index):
         width), so ``None`` is returned and the caller retries.
         """
         counter = AccessCounter()
-        if self.use_kernels:
-            with self._lock:
-                if (
-                    version is not None
-                    and version != self._data_version
-                ):
-                    return None
-                planes = self._plane_snapshot()
-                limit = self._snapshot_rows()
-                # Delta rows are matched per stored code under the
-                # same lock acquisition that validated the version, so
-                # (planes, delta, limit) is one coherent epoch.
-                delta_hits = (
-                    self._delta_matches(function, limit)
-                    if self._delta
-                    else []
-                )
-            result = self._kernel_for(function).evaluate(
-                planes, counter
+        with self._lock:
+            if version is not None and version != self._data_version:
+                return None
+            planes = self._plane_snapshot()
+            limit = self._snapshot_rows()
+            # Delta rows are matched per stored code under the same
+            # lock acquisition that validated the version, so (planes,
+            # delta, existence, limit) is one coherent epoch.
+            delta_hits = (
+                self._delta_matches(function, limit) if self._delta else []
             )
-            if len(result) != limit:
-                # The plane snapshot is frozen at the last compaction
-                # (``_base_rows``); grow to cover delta rows, or shrink
-                # to the batch's pinned watermark.
+            exists = (
+                None
+                if self._exists_vector is None
+                else self._exists_vector.copy()
+            )
+        result = self._kernel_for(function).evaluate(planes, counter)
+        # The plane snapshot is frozen at the last compaction
+        # (``_base_rows``): grow to cover delta rows — to the vectors'
+        # own length when the existence vector must be ANDed in — or
+        # shrink to the batch's pinned watermark.
+        nbits = limit if exists is None else len(exists)
+        if len(result) != nbits:
+            result.resize(nbits)
+        for row_id in delta_hits:
+            result[row_id] = True
+        if exists is not None:
+            # Without the Theorem 2.1 encoding the existence vector
+            # must be ANDed in — the extra access the paper calls out.
+            cost.vectors_accessed += 1
+            result &= exists
+            if nbits != limit:
                 result.resize(limit)
-            for row_id in delta_hits:
-                result[row_id] = True
-        else:
-            # Reference configuration: reads the live vectors (the
-            # snapshot copy would distort the ablation cost model);
-            # coherent-width is still guaranteed by the version check.
-            with self._lock:
-                if (
-                    version is not None
-                    and version != self._data_version
-                ):
-                    return None
-                vectors = list(self._vectors)
-                nbits = self._vector_rows()
-                limit = self._snapshot_rows()
-            result = evaluate_dnf(
-                function,
-                lambda i: vectors[i],
-                nbits,
-                counter,
-            )
         cost.vectors_accessed += counter.distinct_accesses
         # Trace detail for EXPLAIN: the expression just evaluated and
         # the distinct vectors it pulled (merged across sub-lookups of
@@ -825,15 +759,6 @@ class EncodedBitmapIndex(Index):
                 sorted(set(self.last_touched) | counter.touched)
             )
         counter.publish(get_registry())
-        if self._exists_vector is not None:
-            # Without the Theorem 2.1 encoding the existence vector
-            # must be ANDed in — the extra access the paper calls out.
-            cost.vectors_accessed += 1
-            result &= self._exists_vector
-        if len(result) != limit:
-            # Legacy/vector paths evaluate at the live row count; a
-            # pinned batch still gets its snapshot-length universe.
-            result.resize(limit)
         return result
 
     def _domain_values(self) -> List[Any]:
@@ -843,11 +768,10 @@ class EncodedBitmapIndex(Index):
     # maintenance (Section 2.2, updates with/without domain expansion)
     # ------------------------------------------------------------------
     def on_append(self, row_id: int, row: Dict[str, Any]) -> None:  # ebilint: disable=EBI302
-        # Protocol rule suppressed: both branches discharge the epoch
-        # obligation (``_delta_seq`` bump / always-bumping
-        # ``_write_row``); the analyzer is tripped only by the inline
-        # ``compact()`` threshold call, whose own mutation paths all
-        # bump before returning (checked separately on ``compact``).
+        # Protocol rule suppressed: the ``_delta_seq`` bump discharges
+        # the epoch obligation; the analyzer is tripped only by the
+        # inline ``compact()`` threshold call, whose own mutation paths
+        # all bump before returning (checked separately on ``compact``).
         value = row.get(self.column_name)
         with self._lock:
             self._ensure_encodable(value)
@@ -859,19 +783,18 @@ class EncodedBitmapIndex(Index):
                 self._exists_vector[row_id] = True
             if self._null_vector is not None:
                 self._null_vector.resize(nbits)
-            if self._delta_active():
-                # Arrival-order delta: the row's bits are written (the
-                # vectors stay authoritative) but only ``_delta_seq``
-                # moves — the plane snapshot, compiled kernels and
-                # reductions all survive the append.
-                code = self._code_for(value)
-                self._write_code_raw(row_id, code)
-                self._delta[row_id] = code
-                self._delta_seq += 1
-                if len(self._delta) >= self.DELTA_COMPACT_THRESHOLD:
-                    self.compact()
-            else:
-                self._write_row(row_id, value)
+                if value is None:
+                    self._null_vector[row_id] = True
+            # Arrival-order delta: the row's bits are written (the
+            # vectors stay authoritative) but only ``_delta_seq`` moves
+            # — the plane snapshot, compiled kernels and reductions all
+            # survive the append.
+            code = self._code_for(value)
+            self._write_code_raw(row_id, code)
+            self._delta[row_id] = code
+            self._delta_seq += 1
+            if len(self._delta) >= self.DELTA_COMPACT_THRESHOLD:
+                self.compact()
             self.stats.maintenance_ops += self.width
 
     def _ensure_encodable(self, value: Any) -> None:

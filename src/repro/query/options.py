@@ -1,7 +1,7 @@
 """``QueryOptions`` — the one way to configure a query.
 
 Every per-call knob of :meth:`repro.database.Database.query`,
-``query_many``, ``explain`` and the partition-parallel executor
+``query_many`` and the partition-parallel executor
 (worker count, tracing, tenant id, timeout, the result cache, ...)
 travels in one keyword-only dataclass, so a new knob widens no
 signature.
@@ -17,11 +17,9 @@ Example::
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, List, Optional
+from typing import Any, Optional
 
 from repro.errors import InvalidArgumentError, QueryTimeoutError
 
@@ -39,10 +37,6 @@ class QueryOptions:
         Attach a :class:`~repro.obs.trace.QueryTrace` to the result.
         Traced queries bypass the result cache (a cached trace would
         describe work that did not happen).
-    use_kernels:
-        Per-query override of the compiled-kernel path: ``None``
-        keeps each index's own setting, ``False`` forces the legacy
-        tree walk for this query only (ablation runs).
     timeout_seconds:
         Deadline for the call.  The executors check it before
         execution and between units of work — partitions on a
@@ -75,7 +69,6 @@ class QueryOptions:
 
     workers: Optional[int] = None
     trace: bool = False
-    use_kernels: Optional[bool] = None
     timeout_seconds: Optional[float] = None
     snapshot_rows: Optional[int] = None
     tenant: Optional[str] = None
@@ -128,53 +121,9 @@ def check_deadline(deadline: Optional[float], opts: QueryOptions) -> None:
         )
 
 
-# ---------------------------------------------------------------------
-# per-query compiled-kernel override
-# ---------------------------------------------------------------------
-_kernel_local = threading.local()
-
-
-def _override_stack() -> List[bool]:
-    stack: Optional[List[bool]] = getattr(_kernel_local, "stack", None)
-    if stack is None:
-        stack = []
-        _kernel_local.stack = stack
-    return stack
-
-
-@contextmanager
-def kernel_override(value: Optional[bool]) -> Iterator[None]:
-    """Thread-locally force the kernel path on or off.
-
-    ``None`` is a no-op (indexes keep their own ``use_kernels``
-    setting).  Overrides nest; the innermost wins.  The executors wrap
-    per-partition work in this so ``QueryOptions.use_kernels``
-    propagates into worker threads.
-    """
-    if value is None:
-        yield
-        return
-    stack = _override_stack()
-    stack.append(bool(value))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def kernel_override_value() -> Optional[bool]:
-    """The calling thread's innermost override, or ``None``."""
-    stack = getattr(_kernel_local, "stack", None)
-    if not stack:
-        return None
-    return bool(stack[-1])
-
-
 __all__ = [
     "DEFAULT_OPTIONS",
     "QueryOptions",
     "check_deadline",
-    "kernel_override",
-    "kernel_override_value",
     "start_deadline",
 ]

@@ -67,7 +67,6 @@ from repro.query.options import (
     DEFAULT_OPTIONS,
     QueryOptions,
     check_deadline,
-    kernel_override,
     start_deadline,
 )
 from repro.query.predicates import Predicate
@@ -185,8 +184,8 @@ class ParallelExecutor:
         sharing a column-array cache across the batch; results merge
         per query in partition-id order.
 
-        ``options`` selects the worker count, per-query kernel
-        override, snapshot pin, timeout and prefetch.
+        ``options`` selects the worker count, snapshot pin, timeout
+        and prefetch.
         """
         opts = options if options is not None else DEFAULT_OPTIONS
         predicates = list(predicates)
@@ -221,7 +220,6 @@ class ParallelExecutor:
                         predicates,
                         trace,
                         snapshot_rows=opts.snapshot_rows,
-                        use_kernels=opts.use_kernels,
                     )
                 )
                 if prefetcher is not None:
@@ -276,7 +274,6 @@ class ParallelExecutor:
                     predicates,
                     trace,
                     snapshot_rows=opts.snapshot_rows,
-                    use_kernels=opts.use_kernels,
                 )
                 for partition in partitions
             ]
@@ -354,7 +351,6 @@ class ParallelExecutor:
         trace: bool,
         *,
         snapshot_rows: Optional[int] = None,
-        use_kernels: Optional[bool] = None,
     ) -> Tuple[List[_PartitionRecord], Dict[str, MetricValue]]:
         # Out-of-core hook: fault the partition in (page-accounted)
         # and let the LRU budget spill colder ones before evaluating.
@@ -366,7 +362,6 @@ class ParallelExecutor:
             predicates,
             trace,
             snapshot_rows=snapshot_rows,
-            use_kernels=use_kernels,
         )
 
     @staticmethod
@@ -519,7 +514,6 @@ def run_partition_batch(
     trace: bool = False,
     *,
     snapshot_rows: Optional[int] = None,
-    use_kernels: Optional[bool] = None,
 ) -> Tuple[List[_PartitionRecord], Dict[str, MetricValue]]:
     """Evaluate a predicate batch against one partition.
 
@@ -528,8 +522,7 @@ def run_partition_batch(
     metrics registry (returned as the snapshot half of the result) and
     a pinned row watermark; ``snapshot_rows`` is a caller-supplied pin
     in *global* row ids that clamps the partition to its slice of the
-    first ``snapshot_rows`` rows, and ``use_kernels`` thread-locally
-    overrides the compiled-kernel path for the whole batch.
+    first ``snapshot_rows`` rows.
     """
     registry = MetricsRegistry()
     records: List[_PartitionRecord] = []
@@ -541,9 +534,7 @@ def run_partition_batch(
     if snapshot_rows is not None:
         published = partition.table.published_rows()
         bound = min(max(snapshot_rows - partition.offset, 0), published)
-    with use_registry(registry), kernel_override(
-        use_kernels
-    ), pinned_rows(partition.table, rows=bound):
+    with use_registry(registry), pinned_rows(partition.table, rows=bound):
         executor = Executor(partition.catalog)
         arrays = ColumnArrayCache(partition.table)
         for predicate in predicates:

@@ -8,7 +8,7 @@ import pytest
 
 import repro.query.options
 from repro.table.table import Table
-from repro.workload.generators import uniform_column, zipf_column
+from repro.workload.generators import zipf_column
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from repro.query.predicates import Equals, InList, Range
 from repro.shard.executor import PartitionedQueryResult
 from repro.table.catalog import Catalog
 from repro.table.table import Table
-from tests.conftest import matching_rows
 
 
 def reference_rows(db, table_name, predicate):
@@ -130,6 +129,20 @@ class TestQueries:
             for predicate, result in zip(preds, batch):
                 solo = db.query(name, predicate)
                 assert np.array_equal(result.row_ids(), solo.row_ids())
+
+    @pytest.mark.parametrize("partitions", [None, 2])
+    @pytest.mark.parametrize("void_mode", ["encode", "vector"])
+    def test_snapshot_rows_pin_in_every_void_mode(self, void_mode, partitions):
+        values = ["a", "b", "c", "d"] * 32
+        db = Database()
+        db.create_table("t", {"v": values}, partitions=partitions)
+        db.create_index("t", "v", void_mode=void_mode)
+        result = db.query(
+            "t", Equals("v", "a"), QueryOptions(snapshot_rows=70)
+        )
+        assert result.row_ids().tolist() == [
+            row for row in range(70) if values[row] == "a"
+        ]
 
     def test_explain_both_shapes(self):
         db = make_db()

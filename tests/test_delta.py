@@ -18,6 +18,13 @@ from repro.query.snapshot import pinned_rows, snapshot_rows
 from repro.table.table import Table
 
 VALUES = ["a", "b", "c", "d"]
+ALL_MODES = [
+    (void_mode, null_mode)
+    for void_mode in ("encode", "vector")
+    for null_mode in ("encode", "vector")
+]
+#: The ablation configurations with an explicit existence or NULL vector.
+VECTOR_MODES = ALL_MODES[1:]
 
 
 def make(n=80, **options):
@@ -31,7 +38,13 @@ def make(n=80, **options):
 
 def assert_bit_identical(index, table, predicates=None):
     """Index results equal a from-scratch rebuild, rows and c_e."""
-    rebuilt = EncodedBitmapIndex(table, "v", encoding=index.mapping)
+    rebuilt = EncodedBitmapIndex(
+        table,
+        "v",
+        encoding=index.mapping,
+        void_mode=index.void_mode,
+        null_mode=index.null_mode,
+    )
     for predicate in predicates or [Equals("v", v) for v in VALUES]:
         expected = rebuilt.lookup(predicate)
         actual = index.lookup(predicate)
@@ -118,17 +131,23 @@ class TestDeltaTier:
         epochs.add(index.epoch())
         assert len(epochs) == 4
 
-    def test_legacy_modes_bypass_the_delta(self):
-        table, index = make(null_mode="vector")
+    @pytest.mark.parametrize("void_mode,null_mode", VECTOR_MODES)
+    def test_vector_modes_use_the_delta(self, void_mode, null_mode):
+        table, index = make(void_mode=void_mode, null_mode=null_mode)
         index.lookup(Equals("v", "a"))
-        table.append({"v": "a"})
-        assert index.delta_rows() == 0  # ablation configs: no delta
+        rebuilds = index.plane_rebuilds
+        for i in range(6):
+            table.append({"v": VALUES[i % 4]})
+        table.delete(81)  # a delta row
+        assert index.delta_rows() == 6
         assert_bit_identical(index, table)
+        assert index.plane_rebuilds == rebuilds
 
-    def test_fsck_passes_with_live_delta(self):
+    @pytest.mark.parametrize("void_mode,null_mode", ALL_MODES)
+    def test_fsck_passes_with_live_delta(self, void_mode, null_mode):
         from repro.index.verify import verify_index
 
-        table, index = make()
+        table, index = make(void_mode=void_mode, null_mode=null_mode)
         index.lookup(Equals("v", "a"))
         for i in range(6):
             table.append({"v": VALUES[i % 4]})

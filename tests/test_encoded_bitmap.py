@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.encoding.mapping import NULL, VOID, MappingTable
+from repro.encoding.mapping import MappingTable
 from repro.errors import IndexBuildError
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.query.predicates import Equals, InList, IsNull, Range

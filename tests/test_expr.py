@@ -1,6 +1,5 @@
 """Unit tests for repro.boolean.expr."""
 
-import pytest
 
 from repro.boolean.expr import (
     And,

@@ -96,7 +96,6 @@ class TestRollupGroupBy:
         import random
 
         from repro.encoding.hierarchy import Hierarchy, hierarchy_encoding
-        from repro.encoding.mapping import MappingTable
 
         hierarchy = Hierarchy(
             range(1, 13),

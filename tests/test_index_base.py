@@ -6,7 +6,7 @@ from repro.errors import UnsupportedPredicateError
 from repro.index.base import IndexStatistics, LookupCost
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.index.simple_bitmap import SimpleBitmapIndex
-from repro.query.predicates import Equals, InList, IsNull, Range
+from repro.query.predicates import Equals, InList, IsNull
 from repro.table.table import Table
 from tests.conftest import matching_rows
 

@@ -7,7 +7,7 @@ import pytest
 from repro.encoding.hierarchy import Hierarchy, hierarchy_encoding
 from repro.errors import SchemaError
 from repro.index.join_index import BitmapJoinIndex
-from repro.query.predicates import Equals, InList
+from repro.query.predicates import Equals
 from repro.table.table import Table
 
 

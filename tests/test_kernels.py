@@ -30,13 +30,13 @@ from repro.cache import LRUCache
 from repro.errors import InvalidArgumentError
 from repro.kernels import (
     GATHER_MAX_WORDS,
-    CompiledKernel,
     PlaneSet,
     clear_compile_cache,
     compile_function,
 )
 from repro.index.encoded_bitmap import EncodedBitmapIndex
-from repro.query.predicates import Equals, InList
+from repro.query.predicates import Equals, InList, IsNull
+from repro.query.snapshot import pinned_rows
 from repro.table.table import Table
 
 
@@ -247,7 +247,7 @@ def test_compile_cache_reuses_kernels():
 
 
 # ----------------------------------------------------------------------
-# index integration: kernel path vs tree path, invalidation
+# index integration: lookup vs the evaluate_dnf oracle, invalidation
 # ----------------------------------------------------------------------
 def _table(values):
     table = Table("T", ["A"])
@@ -256,26 +256,91 @@ def _table(values):
     return table
 
 
-def test_index_kernel_and_tree_paths_agree_with_same_cost():
-    values = [f"v{i % 7}" for i in range(500)]
-    kernel_index = EncodedBitmapIndex(_table(values), "A")
-    tree_index = EncodedBitmapIndex(
-        _table(values), "A", use_kernels=False
+ORACLE_MODES = [
+    (void_mode, null_mode)
+    for void_mode in ("encode", "vector")
+    for null_mode in ("encode", "vector")
+]
+ORACLE_PIN = 190
+
+
+def _oracle_index(void_mode, null_mode, state):
+    """An index over 200 rows (NULLs, deleted rows) in ``state``:
+    freshly built, 6 rows in the delta (one of them deleted, one NULL),
+    those rows compacted, or read under a pin below the appends."""
+    values = [None if i % 11 == 0 else f"v{i % 7}" for i in range(200)]
+    table = _table(values)
+    for row in (3, 50, 101):
+        table.delete(row)
+    index = EncodedBitmapIndex(
+        table, "A", void_mode=void_mode, null_mode=null_mode
     )
-    assert kernel_index.use_kernels and not tree_index.use_kernels
+    table.attach(index)
+    index.lookup(Equals("A", "v0"))  # build the plane snapshot
+    if state != "built":
+        for value in ("v3", None, "v5", "v3", "v0", "v6"):
+            table.append({"A": value})
+        table.delete(203)
+        assert index.delta_rows() == 6
+    if state == "compacted":
+        assert index.compact()
+        assert index.delta_rows() == 0
+    return table, index
+
+
+@pytest.mark.parametrize("state", ["built", "delta", "compacted", "pinned"])
+@pytest.mark.parametrize("void_mode,null_mode", ORACLE_MODES)
+def test_index_lookup_matches_evaluate_dnf_oracle(void_mode, null_mode, state):
+    table, index = _oracle_index(void_mode, null_mode, state)
+    limit = ORACLE_PIN if state == "pinned" else len(table)
     for predicate in (
         Equals("A", "v3"),
         InList("A", ["v0", "v5"]),
         InList("A", [f"v{i}" for i in range(7)]),
     ):
-        got = kernel_index.lookup(predicate)
-        expected = tree_index.lookup(predicate)
-        assert got == expected
-        assert (
-            kernel_index.last_cost.vectors_accessed
-            == tree_index.last_cost.vectors_accessed
+        function = index.reduced_function(index.predicate_values(predicate))
+        counter = AccessCounter()
+        expected = evaluate_dnf(
+            function, index.vector, len(index.vector(0)), counter
         )
-        assert kernel_index.last_touched == tree_index.last_touched
+        accessed = counter.distinct_accesses
+        if void_mode == "vector":
+            expected &= table.existence_vector()
+            accessed += 1
+        expected.resize(limit)
+
+        if state == "pinned":
+            with pinned_rows(table, rows=ORACLE_PIN):
+                got = index.lookup(predicate)
+        else:
+            got = index.lookup(predicate)
+        assert got == expected, predicate
+        assert index.last_cost.vectors_accessed == accessed, predicate
+        assert index.last_touched == tuple(sorted(counter.touched))
+
+    column = table.column("A")
+    nulls = [
+        row
+        for row in range(limit)
+        if not table.is_void(row) and column[row] is None
+    ]
+    with pinned_rows(table, rows=limit):
+        assert index.lookup(IsNull("A")).indices().tolist() == nulls
+
+
+def test_removed_kernel_knobs_raise_type_error():
+    from repro.database import Database
+    from repro.query.options import QueryOptions
+
+    with pytest.raises(TypeError):
+        EncodedBitmapIndex(_table(["a", "b"]), "A", use_kernels=False)
+    with pytest.raises(TypeError):
+        QueryOptions(use_kernels=False)
+    db = Database()
+    db.create_table("t", {"A": ["a", "b", "a"]})
+    db.create_index("t", "A")
+    with pytest.raises(TypeError):
+        db.explain("t", Equals("A", "a"), QueryOptions())
 
 
 def test_index_plane_snapshot_invalidated_on_writes():
@@ -329,7 +394,6 @@ def test_serialized_index_roundtrip_keeps_kernel_path():
     table = _table(["a", "b", "c", "b"])
     index = EncodedBitmapIndex(table, "A")
     restored = loads(dumps(index), table)
-    assert restored.use_kernels
     predicate = InList("A", ["a", "b"])
     assert restored.lookup(predicate) == index.lookup(predicate)
     assert (

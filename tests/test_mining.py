@@ -1,6 +1,5 @@
 """Unit tests for repro.encoding.mining (encodings from query logs)."""
 
-import pytest
 
 from repro.encoding.heuristics import encoding_cost, random_encoding
 from repro.encoding.mining import (
@@ -8,7 +7,7 @@ from repro.encoding.mining import (
     extract_subdomains,
     mine_workload,
 )
-from repro.query.predicates import Equals, InList, IsNull, Range
+from repro.query.predicates import Equals, InList, Range
 
 DOMAIN = list(range(16))
 

@@ -5,7 +5,6 @@ import pytest
 from repro.encoding.hierarchy import Hierarchy
 from repro.query.predicates import InList
 from repro.workload.olap import (
-    OlapStep,
     generate_session,
     level_visit_counts,
     session_predicates,

@@ -1,7 +1,6 @@
 """Unit tests for repro.query.optimizer (footnote 3 don't-care
 optimisation)."""
 
-import pytest
 
 from repro.boolean.reduction import reduce_values
 from repro.query.optimizer import (

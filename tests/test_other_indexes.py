@@ -1,7 +1,6 @@
 """Unit tests for projection, bit-sliced, value-list, dynamic-bitmap,
 range-bitmap and hybrid indexes (the paper's Section 4 comparators)."""
 
-import random
 
 import pytest
 

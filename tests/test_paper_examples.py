@@ -8,7 +8,7 @@ reduced expressions, vector counts).
 import pytest
 
 from repro.boolean.reduction import reduce_values
-from repro.encoding.mapping import MappingTable, VOID
+from repro.encoding.mapping import MappingTable
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.index.simple_bitmap import SimpleBitmapIndex
 from repro.query.predicates import Equals, InList

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.boolean.minterm import Implicant
 from repro.boolean.petrick import _absorb, _greedy, minimal_cover
 from repro.boolean.quine_mccluskey import prime_implicants
 

@@ -13,7 +13,7 @@ from repro.index.range_bitmap import RangeBitmapIndex
 from repro.index.simple_bitmap import SimpleBitmapIndex
 from repro.index.value_list import ValueListIndex
 from repro.query.planner import Planner
-from repro.query.predicates import Equals, InList, IsNull, Range
+from repro.query.predicates import Equals, InList, Range
 from repro.table.catalog import Catalog
 from repro.table.table import Table
 

@@ -8,7 +8,7 @@ from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.index.simple_bitmap import SimpleBitmapIndex
 from repro.query.executor import Executor
 from repro.query.planner import Planner
-from repro.query.predicates import Equals, InList, IsNull, Range
+from repro.query.predicates import Equals, InList, Range
 from repro.table.catalog import Catalog
 from tests.conftest import matching_rows
 

@@ -1,6 +1,5 @@
 """Unit tests for repro.query.predicates."""
 
-import pytest
 
 from repro.query.predicates import (
     AndPredicate,

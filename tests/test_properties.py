@@ -11,7 +11,6 @@ These encode the library's load-bearing correctness properties:
 * Encoded bitmap index lookups equal a naive table scan.
 """
 
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

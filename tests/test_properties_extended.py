@@ -1,6 +1,5 @@
 """Extended property-based tests: index/aggregate/encoding invariants."""
 
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -5,7 +5,6 @@ import pytest
 from repro.boolean.reduction import reduce_values
 from repro.encoding.range_based import (
     Interval,
-    RangePartition,
     partition_from_predicates,
     range_encoding,
 )

@@ -1,9 +1,7 @@
 """Unit tests for repro.boolean.reduction."""
 
-import pytest
 
 from repro.boolean.reduction import (
-    ReducedFunction,
     distinct_variables,
     minterm_dnf,
     reduce_values,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.encoding.heuristics import (
-    encoding_cost,
     random_encoding,
     sequential_encoding,
 )

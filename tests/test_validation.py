@@ -1,6 +1,5 @@
 """Unit tests for repro.analysis.validation — every paper claim."""
 
-import pytest
 
 from repro.analysis.validation import (
     CheckResult,
