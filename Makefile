@@ -10,7 +10,7 @@ test:
 
 lint:
 	PYTHONPATH=src python -m repro.lint src tests
-	@if command -v ruff >/dev/null 2>&1; then ruff check src tests; \
+	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks examples; \
 	else echo "ruff not installed (pip install -e .[lint]); skipped"; fi
 
 typecheck:

@@ -9,8 +9,6 @@ build-time comparison ``O(n m)`` vs ``O(n log_{M/2} m + n log2(p/4))``.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.analysis.cost_models import (
     bitmap_build_cost,

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.encoding.heuristics import (
     encode_for_predicates,

@@ -7,14 +7,12 @@ vector contents, reduced retrieval expressions).
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.boolean.reduction import reduce_values
 from repro.encoding.mapping import MappingTable
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.index.simple_bitmap import SimpleBitmapIndex
-from repro.query.predicates import Equals, InList
+from repro.query.predicates import Equals
 from repro.table.table import Table
 
 

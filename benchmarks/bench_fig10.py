@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.analysis.figures import figure10_series
 from repro.index.encoded_bitmap import EncodedBitmapIndex

@@ -13,8 +13,6 @@ encoding.  Shape expectations from the paper:
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.analysis.cost_models import c_e_best, c_e_worst, c_s
 from repro.analysis.figures import crossover_point, figure9_series

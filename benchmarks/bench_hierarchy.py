@@ -14,7 +14,6 @@ import pytest
 from benchmarks.conftest import print_table
 from repro.encoding.heuristics import encoding_cost, sequential_encoding
 from repro.encoding.hierarchy import Hierarchy, hierarchy_encoding
-from repro.encoding.well_defined import verify_well_defined_cost
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.query.predicates import InList
 from repro.table.table import Table

@@ -8,8 +8,6 @@ O(|T|) + O(h) for encoded (often just a mapping entry).
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.index.simple_bitmap import SimpleBitmapIndex

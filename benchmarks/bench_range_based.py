@@ -21,7 +21,6 @@ from repro.encoding.range_based import (
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.index.range_bitmap import RangeBitmapIndex
 from repro.query.predicates import Range
-from repro.table.table import Table
 from repro.workload.generators import build_table, zipf_column
 
 PAPER_PREDICATES = [(6, 10), (8, 12), (10, 13), (16, 20)]

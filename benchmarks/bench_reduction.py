@@ -17,8 +17,6 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.boolean.reduction import minterm_dnf, reduce_values
 

@@ -10,8 +10,6 @@ and B-tree indexes, reporting total accesses per index family.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from benchmarks.conftest import print_table

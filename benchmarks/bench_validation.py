@@ -7,8 +7,6 @@ timing of the whole analytical reproduction.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.analysis.validation import run_all_checks
 

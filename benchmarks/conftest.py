@@ -9,7 +9,7 @@ eyeballed against the original.  ``pytest benchmarks/
 from __future__ import annotations
 
 import sys
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import pytest
 

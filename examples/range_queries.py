@@ -15,7 +15,6 @@ import random
 
 from repro import (
     BitSlicedIndex,
-    EncodedBitmapIndex,
     Range,
     Table,
     order_preserving_encoding,

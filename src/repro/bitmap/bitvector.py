@@ -70,16 +70,21 @@ class BitVector:
     def from_indices(cls, indices: Iterable[int], nbits: int) -> "BitVector":
         """Build an ``nbits`` vector with the given positions set."""
         vec = cls(nbits)
-        idx = np.fromiter(indices, dtype=np.int64)
+        vec.set_indices(np.fromiter(indices, dtype=np.int64))
+        return vec
+
+    def set_indices(self, indices: np.ndarray) -> None:
+        """Set the bits at an integer array of positions (one scatter
+        on the word array, however many positions)."""
+        idx = np.asarray(indices, dtype=np.int64)
         if idx.size:
-            if idx.min() < 0 or idx.max() >= nbits:
+            if idx.min() < 0 or idx.max() >= self._nbits:
                 raise IndexError("bit index out of range")
             word_idx = idx // WORD_BITS
             bit_idx = (idx % WORD_BITS).astype(np.uint64)
             np.bitwise_or.at(
-                vec._words, word_idx, np.uint64(1) << bit_idx
+                self._words, word_idx, np.uint64(1) << bit_idx
             )
-        return vec
 
     @classmethod
     def ones(cls, nbits: int) -> "BitVector":

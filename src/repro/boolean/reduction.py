@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.boolean.minterm import Implicant
 from repro.boolean.petrick import minimal_cover
 from repro.boolean.quine_mccluskey import prime_implicants
@@ -66,6 +68,17 @@ class ReducedFunction:
     def evaluate_value(self, value: int) -> bool:
         """Evaluate on a single code (truth-table check)."""
         return any(term.covers(value) for term in self.terms)
+
+    def evaluate_codes(self, codes: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_value` over an array of codes at once.
+
+        One mask pass per term, ``(codes & care) == bits``, ORed into
+        a boolean array; the codes' dtype must hold ``2^width - 1``.
+        """
+        hit = np.zeros(codes.shape, dtype=bool)
+        for term in self.terms:
+            hit |= (codes & term.care) == term.bits
+        return hit
 
     def to_string(self, prefix: str = "B") -> str:
         """Render the DNF the way the paper prints it.

@@ -136,16 +136,10 @@ def apply_reencoding(
     for value, code in translated.items():
         rebuilt.assign(value, code)
 
-    column = index.table.column(index.column_name)
-    void = index.table.void_rows()
     nbits = len(index.table)
-    # Swap mapping + vectors, invalidate caches and bump the data
-    # version atomically under the index's own lock (EBI302: foreign
-    # writes to another object's _data_version are a protocol breach).
+    # Swap the mapping, invalidate caches, rebuild every vector under
+    # the new codes and bump the data version atomically under the
+    # index's own lock (EBI302: foreign writes to another object's
+    # _data_version are a protocol breach).
     index.apply_mapping(rebuilt)
-    for row_id in range(nbits):
-        if row_id in void:
-            index._write_code(row_id, index._void_code())
-        else:
-            index._write_row(row_id, column[row_id])
     index.stats.maintenance_ops += nbits * width

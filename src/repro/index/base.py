@@ -3,7 +3,7 @@
 Every index maps a :class:`~repro.query.predicates.Predicate` on its
 column to a result :class:`~repro.bitmap.bitvector.BitVector` over the
 table's rows, and maintains itself through the table's observer hooks
-(`on_append` / `on_update` / `on_delete`).
+(`on_append_rows` / `on_update` / `on_delete`).
 
 Cost accounting follows the paper: :class:`IndexStatistics` records
 *vectors accessed* (for bitmap family indexes), *node accesses* (for
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.bitmap.bitvector import BitVector
 from repro.errors import UnsupportedPredicateError
@@ -235,6 +235,21 @@ class Index:
     def on_append(self, row_id: int, row: Dict[str, Any]) -> None:
         """A row was appended to the table."""
         raise NotImplementedError
+
+    def on_append_rows(
+        self, first_row_id: int, columns: Mapping[str, Sequence[Any]]
+    ) -> None:
+        """A batch of rows ``first_row_id, first_row_id + 1, ..`` was
+        appended; ``columns`` maps each column name to the batch's
+        values in row order.
+
+        The table calls this once per batch.  The default hands each
+        row to :meth:`on_append`; kinds that maintain themselves a
+        batch at a time override it.
+        """
+        names = list(columns)
+        for offset, values in enumerate(zip(*columns.values())):
+            self.on_append(first_row_id + offset, dict(zip(names, values)))
 
     def on_update(
         self, row_id: int, column_name: str, old: Any, new: Any

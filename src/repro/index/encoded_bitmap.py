@@ -15,7 +15,17 @@ is selectable for the ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -58,6 +68,11 @@ from repro.query.snapshot import snapshot_rows
 from repro.table.table import Table
 
 
+def _code_dtype(width: int) -> np.dtype:
+    """Narrowest unsigned dtype holding every ``width``-bit code."""
+    return np.min_scalar_type((1 << width) - 1)
+
+
 class EncodedBitmapIndex(Index):
     """The encoded bitmap index ``B^A = ({B_i}, M^A, {f_a})``.
 
@@ -80,7 +95,14 @@ class EncodedBitmapIndex(Index):
         instead (the paper's "simple way", kept for ablation).
     null_mode:
         ``"encode"`` (default) gives NULL its own code; ``"vector"``
-        keeps an explicit ``B_NULL``.
+        keeps an explicit ``B_NULL``.  With ``void_mode="encode"`` NULL
+        rows then share void's reserved code 0, so value predicates
+        skip them at no cost.  With both modes ``"vector"`` code 0
+        belongs to a value, so NULL still takes a code of its own in
+        the mapping (IsNull reads ``B_NULL``): a value predicate's
+        ``c_e`` is its reduced function's vector count plus one for the
+        existence vector, the same as ``void_mode="vector"`` with
+        ``null_mode="encode"``.
     exact_reduction:
         Use exact minimal covers during logical reduction (disable for
         very wide indexes where greedy covers are preferred).
@@ -163,18 +185,21 @@ class EncodedBitmapIndex(Index):
         self._data_version = 0
         self.plane_rebuilds = 0
         # Delta tier (arrival-order, per Section 4's dynamic scheme):
-        # rows appended since the planes were last built live here as
-        # row -> code, matched per row at query time and folded into
-        # the packed planes by compact().  The bitmap vectors stay
-        # authoritative throughout (serialization/fsck read them, not
-        # the delta), so any plane rebuild doubles as a compaction.
-        # ``_delta_seq`` is the delta half of the epoch: it moves under
-        # the lock on every delta mutation, where ``_data_version``
-        # only moves on mapping/plane identity changes — appends no
-        # longer thrash the kernel caches.
-        self._delta: Dict[int, int] = {}  # ebi: versioned
+        # the rows appended since the planes were last built — always
+        # the contiguous row suffix starting at ``_delta_start`` — kept
+        # as their codes in ``_delta_codes[:_delta_len]`` (a growable
+        # array in the planes' code dtype), matched term by term at
+        # query time and folded into the packed planes by compact().
+        # The bitmap vectors stay authoritative throughout
+        # (serialization/fsck read them, not the delta), so any plane
+        # rebuild doubles as a compaction.  ``_delta_seq`` is the delta
+        # half of the epoch: it moves under the lock on every delta
+        # mutation, where ``_data_version`` only moves on mapping/plane
+        # identity changes — appends no longer thrash the kernel caches.
+        self._delta_codes = np.zeros(0, dtype=np.uint8)  # ebi: versioned
+        self._delta_len = 0  # ebi: versioned
+        self._delta_start = 0
         self._delta_seq = 0
-        self._base_rows = 0
         self.compactions = 0
         # Out-of-core residency accounting (docs/out_of_core.md):
         # spills swap the dense snapshot for a memory-mapped one,
@@ -192,9 +217,7 @@ class EncodedBitmapIndex(Index):
         table = MappingTable.from_values(
             values,
             reserve_void_zero=(self.void_mode == "encode"),
-            include_null=(
-                self.null_mode == "encode" and column.has_nulls()
-            ),
+            include_null=self._encodes_null() and column.has_nulls(),
         )
         return table
 
@@ -213,7 +236,7 @@ class EncodedBitmapIndex(Index):
                 )
             self._mapping.assign(VOID, 0)
         if (
-            self.null_mode == "encode"
+            self._encodes_null()
             and column.has_nulls()
             and NULL not in self._mapping
         ):
@@ -222,32 +245,40 @@ class EncodedBitmapIndex(Index):
     def _build(self) -> None:
         """Bulk-build the bit planes from the current table contents.
 
-        One Python pass computes the per-row code array; the planes are
-        then sliced out of it with vectorised masks (one
-        :meth:`BitVector.from_mask` per plane) instead of ``k``
-        single-bit writes per row — the difference between seconds and
-        minutes on the million-row bench tables.  The code array uses
-        the narrowest unsigned dtype that holds ``2^k - 1``, so it and
-        each plane's mask temporary take one byte per row for
-        ``k <= 8`` instead of eight.
+        Each distinct value is encoded once into a lookup table, and
+        the per-row code array is one ``np.fromiter`` pass over the
+        column through it; void rows are then overwritten with one
+        fancy-index assignment and the planes sliced out with
+        vectorised masks (one :meth:`BitVector.from_mask` per plane).
+        The code array uses the narrowest unsigned dtype that holds
+        ``2^k - 1``, so it and each plane's mask temporary take one
+        byte per row for ``k <= 8``.
         """
         n = self._row_count()
         if n == 0:
             return
         column = self.table.column(self.column_name)
-        void = self.table.void_rows()
-        void_code = self._void_code()
-        dtype = np.min_scalar_type((1 << len(self._vectors)) - 1)
-        codes = np.empty(n, dtype=dtype)
-        null_rows: List[int] = []
-        for row_id in range(n):
-            if row_id in void:
-                codes[row_id] = void_code
+        lut = {
+            value: self._code_for(value)
+            for value in column.distinct_values()
+        }
+        if column.has_nulls():
+            lut[None] = self._code_for(None)
+        dtype = _code_dtype(len(self._vectors))
+        codes = np.fromiter(
+            map(lut.__getitem__, iter(column)), dtype=dtype, count=n
+        )
+        void = np.fromiter(self.table.void_rows(), dtype=np.int64)
+        if self._null_vector is not None:
+            # NULL's code is its own or void's, so NULL rows are read
+            # off before the void overwrite and void rows cleared.
+            if None in lut:
+                nulls = codes == lut[None]
+                nulls[void] = False
+                self._null_vector = BitVector.from_mask(nulls)
             else:
-                value = column[row_id]
-                codes[row_id] = self._code_for(value)
-                if value is None and self._null_vector is not None:
-                    null_rows.append(row_id)
+                self._null_vector = BitVector(n)
+        codes[void] = self._void_code()
         for i in range(len(self._vectors)):
             mask = codes & dtype.type(1 << i)
             # One bulk allocation per *plane* (k total), not per row —
@@ -255,10 +286,8 @@ class EncodedBitmapIndex(Index):
             self._vectors[i] = BitVector.from_mask(mask != 0)  # ebilint: disable=EBI102
         if self._exists_vector is not None:
             exists = np.ones(n, dtype=bool)
-            exists[list(void)] = False
+            exists[void] = False
             self._exists_vector = BitVector.from_mask(exists)
-        if self._null_vector is not None:
-            self._null_vector = BitVector.from_indices(null_rows, n)
         self._data_version += 1
 
     def _void_code(self) -> int:
@@ -266,30 +295,38 @@ class EncodedBitmapIndex(Index):
             return self._mapping.encode(VOID)
         return 0
 
+    def _encodes_null(self) -> bool:
+        """Whether NULL rows carry a mapping code of their own.
+
+        Only ``null_mode="vector"`` over ``void_mode="encode"`` lets
+        them share void's code instead: with an existence vector, code
+        0 belongs to a value and would select the NULL rows too.
+        """
+        return self.null_mode == "encode" or self.void_mode == "vector"
+
     def _code_for(self, value: Any) -> int:
         if value is None:
-            if self.null_mode == "encode":
+            if self._encodes_null():
                 return self._mapping.encode(NULL)
-            return 0
+            return self._void_code()
         return self._mapping.encode(value)
 
-    def _write_row(self, row_id: int, value: Any) -> None:
-        self._write_code(row_id, self._code_for(value))
-        if value is None and self._null_vector is not None:
-            self._null_vector[row_id] = True
+    def _rewrite_code(self, row_id: int, code: int) -> None:
+        """Give an existing row a new code.
 
-    def _write_code(self, row_id: int, code: int) -> None:
+        A delta row is rewritten in place (only the epoch's
+        ``_delta_seq`` half must move); a row already folded into the
+        planes also costs a ``_data_version`` bump, and with it a plane
+        rebuild on the next lookup.
+        """
         with self._lock:
-            self._write_code_raw(row_id, code)
-            self._data_version += 1
-
-    def _write_code_raw(self, row_id: int, code: int) -> None:  # ebilint: disable=EBI302
-        """Set one row's bits across the planes; caller holds the lock
-        and owns the matching epoch bump (``_data_version`` for base
-        rows, ``_delta_seq`` for delta rows) — hence the protocol-rule
-        suppression on this deliberately dirty helper."""
-        for i, vector in enumerate(self._vectors):
-            vector[row_id] = bool((code >> i) & 1)
+            for i, vector in enumerate(self._vectors):
+                vector[row_id] = bool((code >> i) & 1)
+            if self._delta_len and row_id >= self._delta_start:
+                self._delta_codes[row_id - self._delta_start] = code
+            else:
+                self._data_version += 1
+            self._delta_seq += 1
 
     # ------------------------------------------------------------------
     # introspection
@@ -477,7 +514,13 @@ class EncodedBitmapIndex(Index):
     def delta_rows(self) -> int:
         """Rows currently in the delta tier (0 after :meth:`compact`)."""
         with self._lock:
-            return len(self._delta)
+            return self._delta_len
+
+    def _clear_delta(self) -> None:
+        """Empty the delta tier."""
+        with self._lock:
+            self._delta_len = 0
+            self._delta_seq += 1
 
     def compact(self) -> bool:
         """Fold the delta into the packed planes (atomic hot-swap).
@@ -491,7 +534,7 @@ class EncodedBitmapIndex(Index):
         """
         with self._lock:
             if (
-                not self._delta
+                not self._delta_len
                 and self._planes is not None
                 and self._planes_version == self._data_version
             ):
@@ -501,26 +544,27 @@ class EncodedBitmapIndex(Index):
             self._planes = planes
             self._data_version += 1
             self._planes_version = self._data_version
-            self._base_rows = planes.nbits
-            self._delta.clear()
-            self._delta_seq += 1
+            self._clear_delta()
             self.compactions += 1
             crash_point("index.compact.post-swap")
         return True
 
-    def _delta_matches(self, function: ReducedFunction, limit: int) -> List[int]:
-        """Delta rows below ``limit`` selected by ``function``.
+    def _delta_matches(
+        self, function: ReducedFunction, limit: int
+    ) -> np.ndarray:
+        """Ids of the delta rows below ``limit`` selected by ``function``.
 
-        Caller holds the lock.  Per-row evaluation against the stored
-        code touches no bitmap vector, so ``c_e`` stays exactly the
-        reduced function's vector count — bit-identical to evaluating
-        the same function over fully compacted planes.
+        Caller holds the lock.  The function's terms are matched
+        against the stored codes (:meth:`ReducedFunction.evaluate_codes`),
+        touching no bitmap vector, so ``c_e`` stays exactly the reduced
+        function's vector count — bit-identical to evaluating the same
+        function over fully compacted planes.
         """
-        return [
-            row_id
-            for row_id, code in self._delta.items()
-            if row_id < limit and function.evaluate_value(code)
-        ]
+        count = min(self._delta_len, limit - self._delta_start)
+        if count <= 0:
+            return np.zeros(0, dtype=np.int64)
+        hits = function.evaluate_codes(self._delta_codes[:count])
+        return self._delta_start + np.flatnonzero(hits)
 
     def _vector_rows(self) -> int:
         """Rows this index has ingested — the vectors' own length.
@@ -622,10 +666,8 @@ class EncodedBitmapIndex(Index):
                 self._planes_version = self._data_version
                 # A full rebuild covers every row, so it doubles as a
                 # compaction: the delta's rows are now in the planes.
-                self._base_rows = self._planes.nbits
-                if self._delta:
-                    self._delta.clear()
-                    self._delta_seq += 1
+                if self._delta_len:
+                    self._clear_delta()
                 self.plane_rebuilds += 1
             return self._planes
 
@@ -721,27 +763,24 @@ class EncodedBitmapIndex(Index):
                 return None
             planes = self._plane_snapshot()
             limit = self._snapshot_rows()
-            # Delta rows are matched per stored code under the same
-            # lock acquisition that validated the version, so (planes,
-            # delta, existence, limit) is one coherent epoch.
-            delta_hits = (
-                self._delta_matches(function, limit) if self._delta else []
-            )
+            # Delta rows are matched on their stored codes under the
+            # same lock acquisition that validated the version, so
+            # (planes, delta, existence, limit) is one coherent epoch.
+            delta_hits = self._delta_matches(function, limit)
             exists = (
                 None
                 if self._exists_vector is None
                 else self._exists_vector.copy()
             )
         result = self._kernel_for(function).evaluate(planes, counter)
-        # The plane snapshot is frozen at the last compaction
-        # (``_base_rows``): grow to cover delta rows — to the vectors'
-        # own length when the existence vector must be ANDed in — or
-        # shrink to the batch's pinned watermark.
+        # The plane snapshot is frozen at the last compaction: grow to
+        # cover delta rows — to the vectors' own length when the
+        # existence vector must be ANDed in — or shrink to the batch's
+        # pinned watermark.
         nbits = limit if exists is None else len(exists)
         if len(result) != nbits:
             result.resize(nbits)
-        for row_id in delta_hits:
-            result[row_id] = True
+        result.set_indices(delta_hits)
         if exists is not None:
             # Without the Theorem 2.1 encoding the existence vector
             # must be ANDed in — the extra access the paper calls out.
@@ -767,35 +806,107 @@ class EncodedBitmapIndex(Index):
     # ------------------------------------------------------------------
     # maintenance (Section 2.2, updates with/without domain expansion)
     # ------------------------------------------------------------------
-    def on_append(self, row_id: int, row: Dict[str, Any]) -> None:  # ebilint: disable=EBI302
-        # Protocol rule suppressed: the ``_delta_seq`` bump discharges
-        # the epoch obligation; the analyzer is tripped only by the
-        # inline ``compact()`` threshold call, whose own mutation paths
-        # all bump before returning (checked separately on ``compact``).
-        value = row.get(self.column_name)
+    def on_append(self, row_id: int, row: Dict[str, Any]) -> None:
+        self.on_append_rows(
+            row_id, {self.column_name: (row.get(self.column_name),)}
+        )
+
+    def on_append_rows(  # ebilint: disable=EBI302
+        self, first_row_id: int, columns: Mapping[str, Sequence[Any]]
+    ) -> None:
+        # Protocol rule suppressed: ``_append_codes`` bumps
+        # ``_delta_seq`` for every chunk it writes; the analyzer is
+        # tripped only by the inline ``compact()`` threshold call,
+        # whose own mutation paths all bump before returning (checked
+        # separately on ``compact``).
+        values = columns[self.column_name]
         with self._lock:
-            self._ensure_encodable(value)
-            nbits = row_id + 1
-            for vector in self._vectors:
-                vector.resize(nbits)
+            # Every new value is encoded (Section 2.2's expansion)
+            # before any code of the batch is written, in arrival
+            # order, so the codes match a row-at-a-time append.  Each
+            # row is charged the width in force once its own value is
+            # encodable, as the row-at-a-time path charges it.
+            distinct = dict.fromkeys(values)
+            ops = 0
+            charged = 0
+            for value in distinct:
+                width = self.width
+                self._ensure_encodable(value)
+                if self.width != width:
+                    first = values.index(value)
+                    ops += width * (first - charged)
+                    charged = first
+            ops += self.width * (len(values) - charged)
+            lut = {value: self._code_for(value) for value in distinct}
+            codes = np.fromiter(
+                map(lut.__getitem__, values),
+                dtype=_code_dtype(self.width),
+                count=len(values),
+            )
+            null_code = (
+                lut.get(None) if self._null_vector is not None else None
+            )
+            # A batch that reaches the compaction threshold is split
+            # there, so the fold lands on the same row as it would
+            # appending one row at a time.
+            done = 0
+            while done < len(codes):
+                room = max(
+                    1, self.DELTA_COMPACT_THRESHOLD - self._delta_len
+                )
+                chunk = codes[done:done + room]
+                self._append_codes(first_row_id + done, chunk, null_code)
+                done += len(chunk)
+                if self._delta_len >= self.DELTA_COMPACT_THRESHOLD:
+                    self.compact()
+            self.stats.maintenance_ops += ops
+
+    def _append_codes(
+        self,
+        first_row_id: int,
+        codes: np.ndarray,
+        null_code: Optional[int],
+    ) -> None:
+        """Write appended rows' codes into the vectors and the delta.
+
+        Each vector is resized once and gets its new bits in one
+        scatter.  The rows join the delta (only ``_delta_seq`` moves),
+        so the plane snapshot, compiled kernels and reductions all
+        survive the append.
+        """
+        end = first_row_id + len(codes)
+        with self._lock:
+            for i, vector in enumerate(self._vectors):
+                vector.resize(end)
+                vector.set_indices(
+                    first_row_id + np.flatnonzero(codes & (1 << i))
+                )
             if self._exists_vector is not None:
-                self._exists_vector.resize(nbits)
-                self._exists_vector[row_id] = True
+                self._exists_vector.resize(end)
+                self._exists_vector.set_indices(np.arange(first_row_id, end))
             if self._null_vector is not None:
-                self._null_vector.resize(nbits)
-                if value is None:
-                    self._null_vector[row_id] = True
-            # Arrival-order delta: the row's bits are written (the
-            # vectors stay authoritative) but only ``_delta_seq`` moves
-            # — the plane snapshot, compiled kernels and reductions all
-            # survive the append.
-            code = self._code_for(value)
-            self._write_code_raw(row_id, code)
-            self._delta[row_id] = code
+                self._null_vector.resize(end)
+                if null_code is not None:
+                    self._null_vector.set_indices(
+                        first_row_id + np.flatnonzero(codes == null_code)
+                    )
+            if not self._delta_len:
+                self._delta_start = first_row_id
+            # Rows appended while the index was detached hold all-zero
+            # bits in the vectors: code 0 in the delta too.
+            offset = first_row_id - self._delta_start
+            needed = offset + len(codes)
+            buffer = self._delta_codes
+            if needed > len(buffer) or buffer.dtype != codes.dtype:
+                grown = np.zeros(
+                    max(needed, 2 * len(buffer)), dtype=codes.dtype
+                )
+                grown[: self._delta_len] = buffer[: self._delta_len]
+                self._delta_codes = grown
+            self._delta_codes[self._delta_len:offset] = 0
+            self._delta_codes[offset:needed] = codes
+            self._delta_len = needed
             self._delta_seq += 1
-            if len(self._delta) >= self.DELTA_COMPACT_THRESHOLD:
-                self.compact()
-            self.stats.maintenance_ops += self.width
 
     def _ensure_encodable(self, value: Any) -> None:
         """Expand the mapping (and vectors) for a brand-new value.
@@ -806,7 +917,7 @@ class EncodedBitmapIndex(Index):
         invalidated (Figure 2b).
         """
         if value is None:
-            if self.null_mode == "vector" or NULL in self._mapping:
+            if not self._encodes_null() or NULL in self._mapping:
                 return
             value_key: Hashable = NULL
         else:
@@ -817,6 +928,11 @@ class EncodedBitmapIndex(Index):
             _, expanded = self._mapping.add_value(value_key)
             if expanded:
                 self._vectors.append(BitVector(self._row_count()))
+                # Delta codes follow the width's dtype, so a delta row
+                # rewritten with the new value's code still fits.
+                self._delta_codes = self._delta_codes.astype(
+                    _code_dtype(self._mapping.width)
+                )
                 # Adding a vector rewrites nothing, but the Boolean
                 # functions of every existing value change (step 4 of
                 # the paper's expansion procedure) — accounted as one
@@ -833,24 +949,19 @@ class EncodedBitmapIndex(Index):
             self.stats.maintenance_ops += 1
 
     def apply_mapping(self, mapping: MappingTable) -> None:
-        """Install a re-encoded mapping and reset the bit planes.
+        """Install a re-encoded mapping and rebuild the bit planes.
 
         Used by :func:`repro.encoding.reencoding.apply_reencoding`:
-        the mapping swap, vector reset, cache invalidation and version
-        bump happen atomically under the index lock, so a concurrent
-        lookup never observes the new mapping against stale planes
-        (the rows are then re-written through ``_write_code`` /
-        ``_write_row``, each of which bumps again under the lock).
+        the mapping swap, cache invalidation, bulk rebuild under the
+        new codes and epoch bumps happen atomically under the index
+        lock, so a concurrent lookup never observes the new mapping
+        against stale planes.
         """
         with self._lock:
             self._mapping = mapping
-            self._vectors = [
-                BitVector(self._row_count())
-                for _ in range(mapping.width)
-            ]
             self._reduction_cache.clear()
             self._kernel_cache.clear()
-            self._data_version += 1
+            self.rebuild()
 
     def rebuild(self) -> None:
         """Rebuild every bit plane from the base table (atomic swap).
@@ -874,35 +985,20 @@ class EncodedBitmapIndex(Index):
             # unconditionally so a snapshot of an emptied table is
             # still invalidated.
             self._data_version += 1
-            self._delta.clear()
-            self._delta_seq += 1
+            self._clear_delta()
 
     def _apply_update(self, row_id: int, old: Any, new: Any) -> None:
         with self._lock:
             self._ensure_encodable(new)
             if self._null_vector is not None:
                 self._null_vector[row_id] = new is None
-            if row_id in self._delta:
-                # The row never made it into the planes; rewriting its
-                # delta entry needs no plane invalidation.
-                code = self._code_for(new)
-                self._write_code_raw(row_id, code)
-                self._delta[row_id] = code
-                self._delta_seq += 1
-            else:
-                self._write_row(row_id, new)
+            self._rewrite_code(row_id, self._code_for(new))
             self.stats.maintenance_ops += self.width
 
     def on_delete(self, row_id: int) -> None:
         with self._lock:
             if self.void_mode == "encode":
-                void_code = self._mapping.encode(VOID)
-                if row_id in self._delta:
-                    self._write_code_raw(row_id, void_code)
-                    self._delta[row_id] = void_code
-                    self._delta_seq += 1
-                else:
-                    self._write_code(row_id, void_code)
+                self._rewrite_code(row_id, self._void_code())
             else:
                 self._exists_vector[row_id] = False
             if self._null_vector is not None:

@@ -10,7 +10,7 @@ buffer pool absorbing repeats.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.bitmap.bitvector import BitVector
 from repro.boolean.evaluator import AccessCounter, evaluate_dnf
@@ -103,8 +103,10 @@ class PagedEncodedBitmapIndex(EncodedBitmapIndex):
     # ------------------------------------------------------------------
     # maintenance: mutate in memory, then write back the dirty vectors
     # ------------------------------------------------------------------
-    def on_append(self, row_id: int, row: Dict[str, Any]) -> None:
-        super().on_append(row_id, row)
+    def on_append_rows(
+        self, first_row_id: int, columns: Mapping[str, Sequence[Any]]
+    ) -> None:
+        super().on_append_rows(first_row_id, columns)
         if self._store is not None:
             self._flush_all()
 

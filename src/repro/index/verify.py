@@ -121,14 +121,15 @@ def _expected_code(
 ) -> Optional[int]:
     """The code this row *should* store, or None if not derivable."""
     mapping = index.mapping
-    if index.table.is_void(row_id):
+    if index.table.is_void(row_id) or (
+        value is None and not index._encodes_null()
+    ):
+        # Void rows, and NULL rows that share void's code.
         if index.void_mode == "encode":
             return mapping.encode(VOID) if VOID in mapping else None
         return 0
     if value is None:
-        if index.null_mode == "encode":
-            return mapping.encode(NULL) if NULL in mapping else None
-        return 0
+        return mapping.encode(NULL) if NULL in mapping else None
     if value in mapping:
         return mapping.encode(value)
     return None

@@ -16,7 +16,7 @@ its own.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, cast
+from typing import Any, Callable, List, Mapping, Optional, Sequence, cast
 
 from repro.bitmap.bitvector import BitVector
 from repro.index.base import Index, LookupCost
@@ -156,7 +156,9 @@ class PartitionedIndex(Index):
     # maintenance: partition tables notify the children directly, so
     # the global-level hooks are deliberate no-ops.
     # ------------------------------------------------------------------
-    def on_append(self, row_id: int, row: Dict[str, Any]) -> None:
+    def on_append_rows(
+        self, first_row_id: int, columns: Mapping[str, Sequence[Any]]
+    ) -> None:
         return None
 
     def on_update(

@@ -293,13 +293,7 @@ class PartitionedTable:
     def append(self, row: Any) -> int:
         """Append one row to the *last* partition (boundaries are
         fixed; only the tail range grows)."""
-        last = self._partitions[-1]
-        local = last.table.append(row)
-        row_id = last.offset + local
-        values = last.table.row(local)
-        for observer in self._observers:
-            observer.on_append(row_id, values)
-        return row_id
+        return self.append_rows([row])[0]
 
     def append_rows(self, rows: Iterable[Any]) -> List[int]:
         """Batch append to the last partition, batch-atomically.
@@ -307,19 +301,26 @@ class PartitionedTable:
         Delegates to :meth:`Table.append_rows` on the tail partition,
         which holds its write lock (and moves its published watermark)
         once for the whole batch — snapshot readers pinned on the
-        partition never observe a half-applied batch.
+        partition never observe a half-applied batch.  Observers of
+        the whole table are told once per batch through
+        ``on_append_rows``, with the batch's values sliced per column
+        out of the tail partition.
         """
         rows = list(rows)
         if not rows:
             return []
         last = self._partitions[-1]
         local_ids = last.table.append_rows(rows)
-        row_ids = [last.offset + local for local in local_ids]
-        for row_id, local in zip(row_ids, local_ids):
-            values = last.table.row(local)
+        first = last.offset + local_ids[0]
+        if self._observers:
+            lo, hi = local_ids[0], local_ids[-1] + 1
+            columns = {
+                name: last.table.column(name)[lo:hi]
+                for name in self.column_names
+            }
             for observer in self._observers:
-                observer.on_append(row_id, values)
-        return row_ids
+                observer.on_append_rows(first, columns)
+        return list(range(first, first + len(local_ids)))
 
     def published_rows(self) -> int:
         """Snapshot watermark: full partitions plus the tail's own."""

@@ -7,7 +7,7 @@ ask for the cardinality without a scan.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Union
 
 from repro.errors import TableError
 
@@ -72,7 +72,8 @@ class Column:
     def __len__(self) -> int:
         return len(self._values)
 
-    def __getitem__(self, row_id: int) -> Any:
+    def __getitem__(self, row_id: Union[int, slice]) -> Any:
+        """One row's value, or a list of values for a slice."""
         try:
             return self._values[row_id]
         except IndexError:

@@ -115,17 +115,7 @@ class Table:
 
         Returns the new tuple-id and notifies attached indexes.
         """
-        values = self._row_values(row)
-        row_id = -1
-        with self._write_lock:
-            for col_name, value in zip(self._columns, values):
-                row_id = self._columns[col_name].append(value)
-            for observer in self._observers:
-                observer.on_append(
-                    row_id, dict(zip(self._columns, values))
-                )
-            self._published_rows = row_id + 1
-        return row_id
+        return self.append_rows([row])[0]
 
     def append_rows(self, rows: Iterable[Any]) -> List[int]:
         """Append a batch of rows atomically.
@@ -135,24 +125,25 @@ class Table:
         reader (see :mod:`repro.query.snapshot`) observes either none
         of the batch or all of it — never rows 0..i of it.  Row
         validation happens up front, before any mutation, so a bad row
-        fails the batch without applying a prefix.
+        fails the batch without applying a prefix.  Each observer is
+        told once per batch, through ``on_append_rows(first_row_id,
+        columns)`` with the batch's values per column.
         """
         batch = [self._row_values(row) for row in rows]
         if not batch:
             return []
-        row_ids: List[int] = []
+        columns = dict(zip(self._columns, zip(*batch)))
         with self._write_lock:
-            for values in batch:
-                row_id = -1
-                for col_name, value in zip(self._columns, values):
-                    row_id = self._columns[col_name].append(value)
-                for observer in self._observers:
-                    observer.on_append(
-                        row_id, dict(zip(self._columns, values))
-                    )
-                row_ids.append(row_id)
-            self._published_rows = row_ids[-1] + 1
-        return row_ids
+            first = len(self)
+            for name, values in columns.items():
+                self._columns[name].extend(values)
+            for observer in self._observers:
+                # Inside the write lock on purpose, as in update(): the
+                # paged index kinds' simulated page writes are memory
+                # copies, hence the suppression.
+                observer.on_append_rows(first, columns)  # ebilint: disable=EBI303
+            self._published_rows = first + len(batch)
+        return list(range(first, first + len(batch)))
 
     def row(self, row_id: int) -> Dict[str, Any]:
         """Materialise one row as a dict (void rows raise)."""

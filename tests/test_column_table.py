@@ -151,8 +151,8 @@ class TestTable:
         events = []
 
         class Spy:
-            def on_append(self, row_id, row):
-                events.append(("append", row_id))
+            def on_append_rows(self, first_row_id, columns):
+                events.append(("append", first_row_id, columns))
 
             def on_update(self, row_id, column, old, new):
                 events.append(("update", row_id, old, new))
@@ -164,16 +164,18 @@ class TestTable:
         spy = Spy()
         table.attach(spy)
         table.append({"a": 1})
+        table.append_rows([{"a": 5}, {"a": 6}])  # one call per batch
         table.update(0, "a", 2)
         table.delete(0)
         assert events == [
-            ("append", 0),
+            ("append", 0, {"a": (1,)}),
+            ("append", 1, {"a": (5, 6)}),
             ("update", 0, 1, 2),
             ("delete", 0),
         ]
         table.detach(spy)
         table.append({"a": 3})
-        assert len(events) == 3
+        assert len(events) == 4
 
     def test_unknown_column_lookup(self):
         table = Table("t", ["a"])

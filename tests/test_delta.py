@@ -187,10 +187,9 @@ class TestSnapshotPinning:
         barrier = threading.Barrier(2)
 
         class Spy:
-            def on_append(self, row_id, row):
-                if row_id == 25:
-                    barrier.wait()  # let the reader pin mid-batch
-                    barrier.wait()
+            def on_append_rows(self, first_row_id, columns):
+                barrier.wait()  # let the reader pin mid-batch
+                barrier.wait()
 
             def on_update(self, *a):  # pragma: no cover
                 pass
