@@ -84,7 +84,8 @@ def _fig9_table(m: int, n: int, seed: int) -> Table:
 
 def case_reduction(tolerance: float) -> List[Comparison]:
     """Mirrors ``benchmarks/bench_reduction.py``: exact vs greedy vs
-    raw-DNF logical reduction on 12 contiguous selections (k = 8)."""
+    raw-DNF logical reduction on 12 contiguous selections (k = 8), plus
+    the wall time of a reduction miss at two serving shapes."""
     from repro.boolean.reduction import minterm_dnf, reduce_values
 
     width, m, delta = 8, 200, 24
@@ -102,6 +103,28 @@ def case_reduction(tolerance: float) -> List[Comparison]:
         totals["exact"] += reduce_values(
             codes, width, dont_cares=dont_cares, exact=True
         ).vector_count()
+
+    # A 64-value column plus void at k = 7 (63 unused codes), IN-lists
+    # of 1-4 codes; and 1,000 values plus void at k = 10 (23 unused
+    # codes) under 128-code IN-lists, the heavy tail of the cover.
+    rng = np.random.default_rng(7)
+    small = _reduction_ms(
+        [rng.choice(np.arange(1, 65), 1 + i % 4, replace=False) for i in range(64)],
+        7,
+        range(65, 1 << 7),
+        repeats=5,
+    )
+    wide = _reduction_ms(
+        [rng.choice(np.arange(1, 1001), 128, replace=False) for _ in range(64)],
+        10,
+        range(1001, 1 << 10),
+        repeats=1,
+    )
+    registry = get_registry()
+    for name, times in (("k7_dc63", small), ("k10_in128", wide)):
+        q1, q3 = np.percentile(times, [25, 75])
+        registry.gauge(f"bench.reduction.{name}.q1_ms").set(float(q1))
+        registry.gauge(f"bench.reduction.{name}.q3_ms").set(float(q3))
     return [
         compare(
             "raw minterm DNF reads all k vectors",
@@ -130,7 +153,58 @@ def case_reduction(tolerance: float) -> List[Comparison]:
             tolerance=tolerance,
             kind="model",
         ),
+        compare(
+            "reduction miss median, k=7 with 63 don't-cares, 1-4 codes",
+            float(np.median(small)),
+            0.1,
+            mode="le",
+            unit="ms",
+            tolerance=tolerance,
+            kind="perf",
+        ),
+        compare(
+            "reduction miss median, k=10 with 23 don't-cares, "
+            "64 random 128-code lists",
+            float(np.median(wide)),
+            5.0,
+            mode="le",
+            unit="ms",
+            tolerance=tolerance,
+            kind="perf",
+        ),
+        compare(
+            "reduction miss max, k=10 with 23 don't-cares, "
+            "64 random 128-code lists",
+            float(np.max(wide)),
+            50.0,
+            mode="le",
+            unit="ms",
+            tolerance=tolerance,
+            kind="perf",
+        ),
     ]
+
+
+def _reduction_ms(
+    selections: Sequence[np.ndarray],
+    width: int,
+    dont_cares: range,
+    repeats: int,
+) -> np.ndarray:
+    """Best-of-``repeats`` wall time in ms of one uncached
+    ``reduce_values`` per selection."""
+    from repro.boolean.reduction import reduce_values
+
+    times = []
+    for selection in selections:
+        codes = selection.tolist()
+        best = float("inf")
+        for _attempt in range(repeats):
+            start = time.perf_counter()
+            reduce_values(codes, width, dont_cares=dont_cares)
+            best = min(best, time.perf_counter() - start)
+        times.append(best * 1e3)
+    return np.array(times)
 
 
 def case_fig9_small(tolerance: float) -> List[Comparison]:

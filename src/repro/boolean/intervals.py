@@ -1,10 +1,10 @@
 """Fast retrieval functions for code intervals.
 
 For total-order preserving encodings, a range selection maps to a
-*code interval* ``[lo, hi]``.  Running full Quine–McCluskey on the
-interval's minterms costs exponential time in the worst case; the
-classic binary interval decomposition produces a provably minimal-ish
-cover in O(k) time: the interval splits into at most ``2k`` aligned
+*code interval* ``[lo, hi]``.  The classic binary interval
+decomposition produces a near-minimal cover in O(k) time, without
+the prime generation and cover search of
+:func:`~repro.boolean.reduction.reduce_values`: the interval splits into at most ``2k`` aligned
 subcubes (the nodes of a segment tree over the code space).
 
 ``reduce_interval`` returns the same :class:`ReducedFunction` type as
@@ -76,8 +76,11 @@ def reduce_interval(lo: int, hi: int, width: int) -> ReducedFunction:
     The result selects exactly the codes in the interval (no
     don't-care use), matching
     ``reduce_values(range(lo, hi + 1), width)`` semantically while
-    avoiding the QM tabulation entirely.
+    avoiding prime generation entirely; its ``cover`` is
+    ``"interval"``, since it is not proven minimal.
     """
     return ReducedFunction(
-        terms=tuple(interval_cubes(lo, hi, width)), width=width
+        terms=tuple(interval_cubes(lo, hi, width)),
+        width=width,
+        cover="interval",
     )

@@ -9,13 +9,13 @@ counts how many bitmap vectors the reduced expression actually touches
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.boolean.minterm import Implicant
-from repro.boolean.petrick import minimal_cover
+from repro.boolean.petrick import COVER_EXACT, select_cover
 from repro.boolean.quine_mccluskey import prime_implicants
 from repro.cache import LRUCache
 
@@ -41,10 +41,17 @@ class ReducedFunction:
         means every tuple qualifies.
     width:
         Number of bitmap-vector variables ``k``.
+    cover:
+        How the terms were chosen: ``"exact"`` for a proven minimum,
+        else the fallback that chose them (see
+        :func:`~repro.boolean.petrick.select_cover`; the interval fast
+        path says ``"interval"``).  Not part of equality or the hash,
+        so cache and kernel keys depend on the terms alone.
     """
 
     terms: Tuple[Implicant, ...]
     width: int
+    cover: str = field(default=COVER_EXACT, compare=False)
 
     @property
     def is_false(self) -> bool:
@@ -112,17 +119,17 @@ def reduce_values(
         mapping, and (under Theorem 2.1) the void code when it cannot be
         selected anyway.
     exact:
-        Passed through to :func:`minimal_cover`.
+        Passed through to :func:`~repro.boolean.petrick.select_cover`.
     """
     on = sorted(set(codes))
     if not on:
         return ReducedFunction(terms=(), width=width)
     primes = prime_implicants(on, width, dont_cares)
-    cover = minimal_cover(primes, on, exact=exact)
-    return ReducedFunction(terms=tuple(cover), width=width)
+    cover, how = select_cover(primes, on, exact=exact)
+    return ReducedFunction(terms=tuple(cover), width=width, cover=how)
 
 
-#: Process-wide reduction cache.  Quine–McCluskey/Petrick is a pure
+#: Process-wide reduction cache.  Prime generation and cover are a pure
 #: function of the key, so entries never go stale — mapping changes on
 #: an index change the codes/don't-cares and therefore the key.  Shared
 #: across indexes and partitions: 16 partitions built over one shared

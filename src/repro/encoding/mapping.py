@@ -71,6 +71,11 @@ class MappingTable:
         self._width = width
         self._value_to_code: Dict[Hashable, int] = {}
         self._code_to_value: Dict[int, Hashable] = {}
+        #: Bumped after every mutation; :meth:`dont_cares` caches its
+        #: tuple with the generation it was computed at, so a tuple
+        #: computed while a mutation ran is never served afterwards.
+        self._generation = 0
+        self._dont_cares: Tuple[int, Tuple[int, ...]] = (-1, ())
         if reserve_void_zero:
             self.assign(VOID, 0)
 
@@ -191,13 +196,29 @@ class MappingTable:
     def items(self) -> Iterator[Tuple[Hashable, int]]:
         return iter(self._value_to_code.items())
 
+    def dont_cares(self) -> Tuple[int, ...]:
+        """Codes of the k-cube not assigned to any value, ascending.
+
+        Computed once per mapping state: every reduction over this
+        mapping passes these codes as don't-cares.
+        """
+        generation, codes = self._dont_cares
+        if generation != self._generation:
+            generation = self._generation
+            codes = tuple(
+                code
+                for code in range(1 << self._width)
+                if code not in self._code_to_value
+            )
+            # A memo, not shared state: one atomic store of an
+            # immutable pair, and a pair from a stale generation is
+            # recomputed, never served.
+            self._dont_cares = (generation, codes)  # ebilint: disable=EBI301
+        return codes
+
     def unused_codes(self) -> List[int]:
         """Codes of the k-cube not assigned to any value (don't-cares)."""
-        return [
-            code
-            for code in range(1 << self._width)
-            if code not in self._code_to_value
-        ]
+        return list(self.dont_cares())
 
     def next_free_code(self) -> int:
         """Smallest unassigned code; raises when the cube is full."""
@@ -225,6 +246,7 @@ class MappingTable:
             )
         self._value_to_code[value] = code
         self._code_to_value[code] = value
+        self._generation += 1
 
     def add_value(self, value: Hashable) -> Tuple[int, bool]:
         """Add a new domain value, expanding the width if necessary.
@@ -256,6 +278,7 @@ class MappingTable:
     def grow_width(self) -> None:
         """Add one code bit; existing codes keep their value (new MSB 0)."""
         self._width += 1
+        self._generation += 1
 
     def reassign_all(self, mapping: Dict[Hashable, int]) -> None:
         """Replace every binding at once (re-encoding).
@@ -277,6 +300,7 @@ class MappingTable:
         self._code_to_value = {
             code: value for value, code in mapping.items()
         }
+        self._generation += 1
 
     # ------------------------------------------------------------------
     # rendering

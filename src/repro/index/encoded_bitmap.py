@@ -357,7 +357,7 @@ class EncodedBitmapIndex(Index):
         return minterm_dnf([code], self.width)
 
     #: Above this many selected codes, contiguous selections use the
-    #: O(k) binary interval decomposition instead of Quine-McCluskey.
+    #: O(k) binary interval decomposition instead of prime generation.
     INTERVAL_FAST_PATH_THRESHOLD = 192
 
     def reduced_function(self, values: Iterable[Any]) -> ReducedFunction:
@@ -368,9 +368,9 @@ class EncodedBitmapIndex(Index):
             cached = self._reduction_cache.get(key)
             self.last_cache_hit = cached is not None
         if cached is None:
-            # Reduce outside the lock: Quine-McCluskey is the slow
-            # path, and a duplicate reduction under contention is
-            # benign (pure function of the key).  Registry counters
+            # Reduce outside the lock: reduction is the slow path,
+            # and a duplicate reduction under contention is benign
+            # (pure function of the key).  Registry counters
             # stay outside any critical section (EBI303).
             get_registry().counter("index.reduction_cache_misses").inc()
             cached = self._reduce_codes(codes)
@@ -386,18 +386,18 @@ class EncodedBitmapIndex(Index):
             and codes[-1] - codes[0] == len(codes) - 1
         ):
             # Contiguous code interval: the binary decomposition gives
-            # a near-minimal cover in O(k) where QM would be slow (and
-            # cheap enough that the global cache is not worth a key).
+            # a near-minimal cover in O(k) (cheap enough that the
+            # global cache is not worth a key).
             from repro.boolean.intervals import reduce_interval
 
             return reduce_interval(codes[0], codes[-1], self.width)
-        # Through the process-wide LRU: Quine-McCluskey runs once per
+        # Through the process-wide LRU: a reduction runs once per
         # distinct (codes, width, don't-cares) shape, even when many
         # partition-local indexes share one mapping.
         return reduce_values_cached(
             codes,
             self.width,
-            dont_cares=self._mapping.unused_codes(),
+            dont_cares=self._mapping.dont_cares(),
             exact=self.exact_reduction,
         )
 
@@ -984,6 +984,27 @@ class EncodedBitmapIndex(Index):
             # _build bumps _data_version only when rows exist; bump
             # unconditionally so a snapshot of an emptied table is
             # still invalidated.
+            self._data_version += 1
+            self._clear_delta()
+
+    def replace_vectors(self, vectors: Mapping[int, BitVector]) -> None:
+        """Swap in rebuilt bit vectors by position and drop extras.
+
+        The recovery path of :func:`repro.index.verify.repair`: the
+        swap, the epoch bump and the delta clear happen under one lock
+        acquisition like :meth:`rebuild`, and the reduction and kernel
+        caches go too, so no lookup serves planes, reductions or
+        kernels derived from the replaced vectors.  Positions past the
+        current vector count are appended in ascending order.
+        """
+        with self._lock:
+            for i in sorted(vectors):
+                if i < len(self._vectors):
+                    self._vectors[i] = vectors[i]
+                else:
+                    self._vectors.append(vectors[i])
+            del self._vectors[self._mapping.width:]
+            self.clear_caches()
             self._data_version += 1
             self._clear_delta()
 

@@ -32,8 +32,9 @@ index was built or loaded.  :func:`verify_index` audits a live
 :func:`repair` is the recovery path: it rebuilds only the damaged
 bitmap vectors from the base column (the mapping itself cannot be
 reconstructed from data, so mapping corruption is reported as
-unrepairable), drops the stale reduction cache, and clears the
-index's degraded flag once a re-audit passes.
+unrepairable), drops the plane snapshot, the delta tier and the
+reduction and kernel caches derived from the damaged vectors, and
+clears the index's degraded flag once a re-audit passes.
 
 :func:`verify_payload` is the file-level half used by ``repro fsck``:
 it checks a serialised payload's checksums and structure without
@@ -44,6 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.bitmap.bitvector import BitVector
 from repro.boolean.reduction import ReducedFunction
@@ -398,8 +401,10 @@ def repair(index: EncodedBitmapIndex) -> List[int]:
     mapping table is the one artefact that cannot be reconstructed
     from data (the value->code assignment is arbitrary), so mapping
     corruption raises :class:`~repro.errors.CorruptIndexError`.
-    Stale reduction-cache entries are dropped, and the index is
-    re-audited: a clean re-audit clears the degraded flag.
+    The vectors are swapped in through
+    :meth:`EncodedBitmapIndex.replace_vectors`, so no lookup serves
+    planes, reductions or kernels from before the repair.  The index
+    is then re-audited: a clean re-audit clears the degraded flag.
     """
     mapping = index.mapping
     try:
@@ -427,32 +432,18 @@ def repair(index: EncodedBitmapIndex) -> List[int]:
             )
         expected_codes.append(expected)
 
-    width = mapping.width
-    repaired: List[int] = []
-    for i in range(width):
-        expected_vector = BitVector(rows)
-        for row_id, code in enumerate(expected_codes):
-            if (code >> i) & 1:
-                expected_vector[row_id] = True
-        damaged = (
-            i >= len(index._vectors)
-            or len(index._vectors[i]) != rows
-            or index._vectors[i] != expected_vector
-        )
-        if damaged:
-            if i < len(index._vectors):
-                index._vectors[i] = expected_vector
-            else:
-                index._vectors.append(expected_vector)
-            repaired.append(i)
-    del index._vectors[width:]
-
-    # Drop cache entries the rebuilt/current mapping no longer backs.
-    index._reduction_cache = {
-        key: function
-        for key, function in index._reduction_cache.items()
-        if _cache_entry_valid(mapping, key[0], key[1], function)
-    }
+    codes = np.array(expected_codes, dtype=np.int64)
+    expected_vectors = [
+        BitVector.from_mask((codes >> i) & 1) for i in range(mapping.width)
+    ]
+    repaired = [
+        i
+        for i, expected_vector in enumerate(expected_vectors)
+        if i >= len(index._vectors)
+        or len(index._vectors[i]) != rows
+        or index._vectors[i] != expected_vector
+    ]
+    index.replace_vectors({i: expected_vectors[i] for i in repaired})
     verify_index(index, mark=True)
     return repaired
 

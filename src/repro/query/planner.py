@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
+from repro.boolean.petrick import COVER_EXACT
 from repro.errors import PlanningError
 from repro.query.optimizer import normalize_predicate
 from repro.query.predicates import (
@@ -143,10 +144,13 @@ def _explain_reduction(step: AccessStep) -> List[str]:
     variables = function.variables()
     width = getattr(step.index, "width", len(variables))
     named = ", ".join(f"B{i}" for i in variables) or "none"
-    return [
+    lines = [
         f"reduced expression: {function.to_string()}",
         f"vectors: {named} — {len(variables)} of k={width}",
     ]
+    if function.cover != COVER_EXACT:
+        lines.append(f"cover: {function.cover} (not proven minimal)")
+    return lines
 
 
 class Planner:

@@ -223,6 +223,24 @@ def test_repair_prunes_stale_cache_entries():
     assert verify_index(index).ok
 
 
+def test_repair_stops_serving_damaged_planes():
+    # The plane snapshot, the reductions and the kernels were built
+    # from a damaged vector; after repair no lookup may serve them.
+    table = Table("T", ["v"])
+    for i in range(64):
+        table.append({"v": "abcd"[i % 4]})
+    index = EncodedBitmapIndex(table, "v")
+    expected = list(range(0, 64, 4))
+    flip_bit(index, 0, 0)
+    index.clear_caches()
+    index.planes()
+    damaged = index.lookup(Equals("v", "a"))
+    assert damaged.indices().tolist() != expected
+    assert repair(index) == [0]
+    assert verify_index(index).ok
+    assert index.lookup(Equals("v", "a")).indices().tolist() == expected
+
+
 def test_repair_refuses_corrupt_mapping():
     table = build_table()
     index = EncodedBitmapIndex(table, "A")

@@ -1,7 +1,12 @@
 """Unit tests for repro.encoding.mapping."""
 
+import sys
+import threading
+import time
+
 import pytest
 
+from repro.boolean.reduction import reduction_key
 from repro.encoding.mapping import NULL, VOID, MappingTable, code_width
 from repro.errors import (
     CodeWidthError,
@@ -193,6 +198,78 @@ class TestReassignment:
         )
         with pytest.raises(DuplicateCodeError):
             table.reassign_all({"a": 1, "b": 1})
+
+
+class TestDontCareCache:
+    """``dont_cares()`` is computed once per mapping state, and every
+    mutation moves the reduction key built from it."""
+
+    @staticmethod
+    def _key(table):
+        return reduction_key((1,), table.width, table.dont_cares())
+
+    def test_cached_until_mutated(self):
+        table = MappingTable.from_values(["a", "b", "c", "d"])
+        assert table.dont_cares() == (5, 6, 7)
+        assert table.dont_cares() is table.dont_cares()
+        assert table.unused_codes() == [5, 6, 7]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda table: table.assign("e", 3),
+            lambda table: table.add_value("e"),
+            lambda table: table.grow_width(),
+            lambda table: table.reassign_all(
+                {value: code + 1 for value, code in table.items()}
+            ),
+        ],
+        ids=["assign", "add_value", "grow_width", "reassign_all"],
+    )
+    def test_each_mutation_changes_the_key(self, mutate):
+        table = MappingTable.from_values(
+            ["a", "b", "c"], reserve_void_zero=False
+        )
+        before = self._key(table)
+        mutate(table)
+        after = self._key(table)
+        assert after != before
+        assert table.dont_cares() == tuple(
+            code
+            for code in range(1 << table.width)
+            if not table.has_code(code)
+        )
+
+    def test_readers_racing_a_writer_never_keep_a_stale_tuple(self):
+        # Readers memoise while one writer assigns codes: after each
+        # assign, no tuple from an older generation is served.
+        table = MappingTable(width=11, reserve_void_zero=False)
+        done = threading.Event()
+
+        def read():
+            while not done.is_set():
+                table.dont_cares()
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for code in range(0, 2048, 13):
+                table.assign(f"v{code}", code)
+                time.sleep(2e-4)  # let readers finish a stale compute
+                assert code not in table.dont_cares()
+            done.set()
+            for reader in readers:
+                reader.join(timeout=10)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert table.dont_cares() == tuple(
+            code for code in range(2048) if code % 13
+        )
 
 
 class TestRendering:

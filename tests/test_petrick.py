@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.boolean.petrick import _absorb, _greedy, minimal_cover
-from repro.boolean.quine_mccluskey import prime_implicants
+from repro.boolean.petrick import (
+    _expand,
+    _greedy,
+    coverage_masks,
+    minimal_cover,
+)
+from repro.boolean.quine_mccluskey import minterm_mask, prime_implicants
 
 
 def _is_cover(cover, on_set):
@@ -74,19 +79,23 @@ class TestMinimalCover:
 
 class TestHelpers:
     def test_absorb_drops_supersets(self):
-        products = {
-            frozenset({1}),
-            frozenset({1, 2}),
-            frozenset({2, 3}),
-        }
-        kept = _absorb(products)
-        assert frozenset({1}) in kept
-        assert frozenset({1, 2}) not in kept
-        assert frozenset({2, 3}) in kept
+        # Products are masks of prime indexes: {1, 3} and {1, 2}, times
+        # the single alternative 2.  {1, 3} grows into {1, 2, 3}, a
+        # superset of {1, 2}, so absorption drops it.
+        products = {0b1010, 0b0110}
+        kept = _expand(products, [0b0100])
+        assert 0b0110 in kept
+        assert 0b1110 not in kept
+        assert kept == {0b0110}
 
     def test_greedy_covers(self):
         on = [0, 1, 2, 3]
         primes = prime_implicants(on, 2)
-        chosen = _greedy(primes, set(on))
+        mask = minterm_mask(on, 2)
+        chosen = _greedy(
+            coverage_masks(primes, mask),
+            [p.literal_count() for p in primes],
+            mask,
+        )
         cover = [primes[i] for i in chosen]
         assert _is_cover(cover, on)
