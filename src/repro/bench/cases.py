@@ -118,13 +118,16 @@ def case_reduction(tolerance: float) -> List[Comparison]:
         [rng.choice(np.arange(1, 1001), 128, replace=False) for _ in range(64)],
         10,
         range(1001, 1 << 10),
-        repeats=1,
+        repeats=3,
     )
+    # Only the medians gate; the quartiles and the tail are reported,
+    # since one preempted draw moves a max but not a median.
     registry = get_registry()
     for name, times in (("k7_dc63", small), ("k10_in128", wide)):
         q1, q3 = np.percentile(times, [25, 75])
         registry.gauge(f"bench.reduction.{name}.q1_ms").set(float(q1))
         registry.gauge(f"bench.reduction.{name}.q3_ms").set(float(q3))
+        registry.gauge(f"bench.reduction.{name}.max_ms").set(float(np.max(times)))
     return [
         compare(
             "raw minterm DNF reads all k vectors",
@@ -167,16 +170,6 @@ def case_reduction(tolerance: float) -> List[Comparison]:
             "64 random 128-code lists",
             float(np.median(wide)),
             5.0,
-            mode="le",
-            unit="ms",
-            tolerance=tolerance,
-            kind="perf",
-        ),
-        compare(
-            "reduction miss max, k=10 with 23 don't-cares, "
-            "64 random 128-code lists",
-            float(np.max(wide)),
-            50.0,
             mode="le",
             unit="ms",
             tolerance=tolerance,
@@ -588,14 +581,15 @@ def case_kernel_eval(
     One partitioned index stack over one shared global mapping
     (compiled word-level kernels, process-wide reduction/compile
     caches) against the Section 3 reference computed directly on its
-    children: for every partition, the uncached Quine-McCluskey
-    ``reduce_values`` of the predicate's codes, evaluated by the
-    tree-walking ``evaluate_dnf`` over the child's vectors.  The
-    speedup line times one *cold* batch of distinct IN-list queries
-    each way at ``workers=1`` — every per-index and process-wide cache
-    cleared first — so the reference pays Quine-McCluskey in every
-    partition while the kernel stack reduces and compiles once per
-    predicate and shares the result across partitions.
+    children: for every partition, the ``reduce_values`` function of
+    the predicate's codes, evaluated by the tree-walking
+    ``evaluate_dnf`` over the child's vectors.  The speedup line times
+    one *cold* batch of distinct IN-list queries each way at
+    ``workers=1`` — every per-index and process-wide cache cleared
+    first.  Both sides reduce each predicate once per pass (the kernel
+    stack through its shared cache, the reference through a per-pass
+    dict), so the line measures the compiled kernels and the compile
+    cache against the tree walk, not the reduction.
 
     The eq-0 lines pin the correctness contract: the kernel stack must
     return the reference's rows with the reference's access
@@ -615,6 +609,7 @@ def case_kernel_eval(
     )
     from repro.boolean.evaluator import AccessCounter, evaluate_dnf
     from repro.boolean.reduction import (
+        ReducedFunction,
         clear_reduction_cache,
         reduce_values,
         reduction_cache_stats,
@@ -654,22 +649,34 @@ def case_kernel_eval(
     ).children  # type: ignore[assignment]
     executor = ParallelExecutor(ptable, workers=high)
 
+    # The reference reduces each distinct code set once per pass, as
+    # the kernel stack's shared reduction cache does, so the speedup
+    # line times kernels + compile cache against the tree walk, not the
+    # reduction.
+    reductions: Dict[Tuple[Tuple[int, ...], int], ReducedFunction] = {}
+
     def reference(predicate: Predicate) -> Tuple[BitVector, int]:
-        """Rows and ``c_e`` of ``predicate`` by uncached reduction and
-        tree walk, partition by partition."""
+        """Rows and ``c_e`` of ``predicate`` by reduction and tree
+        walk, partition by partition."""
         parts: List[BitVector] = []
         c_e = 0
         for child in children:
-            codes = sorted(
-                child.mapping.encode(value)
-                for value in child.predicate_values(predicate)
+            codes = tuple(
+                sorted(
+                    child.mapping.encode(value)
+                    for value in child.predicate_values(predicate)
+                )
             )
-            function = reduce_values(
-                codes,
-                child.width,
-                dont_cares=child.mapping.unused_codes(),
-                exact=True,
-            )
+            key = (codes, child.width)
+            function = reductions.get(key)
+            if function is None:
+                function = reduce_values(
+                    codes,
+                    child.width,
+                    dont_cares=child.mapping.dont_cares(),
+                    exact=True,
+                )
+                reductions[key] = function
             counter = AccessCounter()
             parts.append(
                 evaluate_dnf(
@@ -680,6 +687,7 @@ def case_kernel_eval(
         return BitVector.concat(parts), c_e
 
     def clear_all() -> None:
+        reductions.clear()
         for child in children:
             child.clear_caches()
         clear_reduction_cache()
@@ -1953,7 +1961,7 @@ def kernel_case(
         name="kernel_eval_smoke" if quick else "kernel_eval_1m",
         description=(
             f"compiled retrieval kernels + reduction/compile caches vs "
-            f"uncached reduction + evaluate_dnf over {n} rows in "
+            f"one reduction per predicate + evaluate_dnf over {n} rows in "
             f"{KERNEL_PARTITIONS} partitions (docs/performance.md)"
         ),
         run=lambda tolerance: case_kernel_eval(

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.boolean.minterm import Implicant
-from repro.boolean.quine_mccluskey import set_bits, subcube_mask
+from repro.boolean.quine_mccluskey import minterm_mask, set_bits, subcube_mask
 from repro.errors import InvalidArgumentError
 
 #: Petrick expansion is only attempted when the reduced covering
@@ -31,10 +29,6 @@ _EXACT_LIMIT_PRIMES = 28
 #: past it the smallest quarter is kept, which fixes the cover chosen,
 #: so changing it changes covers and ``c_e``.
 _EXACT_LIMIT_PRODUCTS = 1500
-#: (grown, kept) product pairs above which one absorption test runs in
-#: numpy rather than a Python loop; below it numpy's per-call cost
-#: dominates.
-_VECTOR_PAIRS = 2048
 
 #: How a cover was chosen (:attr:`ReducedFunction.cover`): ``EXACT``
 #: is a proven minimum (essential primes, then a complete Petrick
@@ -83,13 +77,11 @@ def select_cover(
     primes are left after the essential primes, and Petrick is capped
     when its partial products pass ``_EXACT_LIMIT_PRODUCTS``.
     """
-    on = 0
-    for value in on_set:
-        on |= 1 << value
-    if not on:
+    if len(on_set) == 0:
         return [], COVER_EXACT
     if not primes:
         raise InvalidArgumentError("no prime implicants supplied for a non-empty ON set")
+    on = minterm_mask(on_set, primes[0].width)
 
     covers = coverage_masks(primes, on)
     seen = shared = 0
@@ -181,9 +173,7 @@ def _expand(products: Set[int], alternatives: List[int]) -> Set[int]:
     would grow into; the others grow by one alternative ``a`` each.
     Two grown products are never inside one another, so a grown
     ``p | a`` is absorbed only by a kept product holding ``a`` whose
-    other primes all lie in ``p``.  Large steps test every (grown,
-    kept) pair at once in numpy; masks fit since at most
-    ``_EXACT_LIMIT_PRIMES`` primes are involved.
+    other primes all lie in ``p``.
     """
     either = sum(alternatives)
     kept = {product for product in products if product & either}
@@ -191,17 +181,11 @@ def _expand(products: Set[int], alternatives: List[int]) -> Set[int]:
     growing = [product for product in products if not product & either]
     for prime in alternatives:
         rests = [product ^ prime for product in kept if product & prime]
-        if len(growing) * len(rests) > _VECTOR_PAIRS:
-            grown = np.array(growing, dtype=np.int32)
-            inner = np.array(rests, dtype=np.int32)
-            absorbed = ((grown[:, None] & inner) == inner).any(axis=1)
-            expanded.update((grown[~absorbed] | prime).tolist())
-        else:
-            expanded.update(
-                product | prime
-                for product in growing
-                if not any(rest & product == rest for rest in rests)
-            )
+        expanded.update(
+            product | prime
+            for product in growing
+            if not any(rest & product == rest for rest in rests)
+        )
     return expanded
 
 

@@ -22,7 +22,7 @@ tabulation's cost are never built.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.boolean.minterm import Implicant
 from repro.errors import InvalidArgumentError
@@ -131,19 +131,3 @@ def prime_implicants(
         for _, care, bits in found
     ]
 
-
-def coverage_table(
-    primes: List[Implicant], on_set: Iterable[int]
-) -> Dict[int, FrozenSet[int]]:
-    """Map each ON minterm to the set of prime indexes covering it."""
-    table: Dict[int, FrozenSet[int]] = {}
-    for value in on_set:
-        covering = frozenset(
-            i for i, prime in enumerate(primes) if prime.covers(value)
-        )
-        if not covering:
-            raise InvalidArgumentError(
-                f"minterm {value} not covered by any prime implicant"
-            )
-        table[value] = covering
-    return table

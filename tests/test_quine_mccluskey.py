@@ -3,7 +3,8 @@
 import pytest
 
 from repro.boolean.minterm import Implicant
-from repro.boolean.quine_mccluskey import coverage_table, prime_implicants
+from repro.boolean.petrick import coverage_masks, select_cover
+from repro.boolean.quine_mccluskey import minterm_mask, prime_implicants
 
 
 def _covers_exactly(primes, on_set, width, dont_cares=()):
@@ -87,17 +88,21 @@ class TestPrimeImplicants:
 
 
 class TestCoverageTable:
+    """The covering table, one truth-table mask of ON minterms per prime."""
+
     def test_maps_each_minterm(self):
         on = [0, 1, 5]
         primes = prime_implicants(on, 3)
-        table = coverage_table(primes, on)
-        assert set(table) == set(on)
-        for value, covering in table.items():
+        covers = coverage_masks(primes, minterm_mask(on, 3))
+        for value in on:
+            covering = [i for i, cover in enumerate(covers) if cover >> value & 1]
             assert covering
             for i in covering:
                 assert primes[i].covers(value)
+        for prime, cover in zip(primes, covers):
+            assert cover == minterm_mask([v for v in on if prime.covers(v)], 3)
 
     def test_uncovered_minterm_raises(self):
         primes = prime_implicants([0], 3)
         with pytest.raises(ValueError):
-            coverage_table(primes, [7])
+            select_cover(primes, [7])
