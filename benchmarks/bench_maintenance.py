@@ -8,6 +8,8 @@ O(|T|) + O(h) for encoded (often just a mapping entry).
 
 from __future__ import annotations
 
+import time
+
 from benchmarks.conftest import print_table
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 from repro.index.simple_bitmap import SimpleBitmapIndex
@@ -131,3 +133,63 @@ class TestDomainExpansion:
         )
         assert rows[-1][1] > rows[0][1] * 2  # linear in n
         assert rows[-1][2] < rows[-1][1]
+
+
+class TestFoldedRowRewrites:
+    """Updates and deletes of rows already folded into the planes.
+
+    The ``(k, nwords)`` plane matrix is the encoded index's only copy
+    of its bits, and lookups evaluate it outside the index lock, so
+    the first rewrite of a folded row after a lookup writes a new copy
+    of the matrix; rewrites with no lookup in between write in place.
+    The matrix copies are counted on ``plane_rebuilds``.
+    """
+
+    N = 262_144
+
+    def _fresh(self):
+        table = build_table(
+            "t", self.N, {"v": uniform_column(self.N, 64, seed=7)}
+        )
+        encoded = EncodedBitmapIndex(table, "v")
+        table.attach(encoded)
+        return table, encoded
+
+    def test_rewrites_with_and_without_lookups_between(self, benchmark):
+        from repro.query.predicates import Equals
+
+        def run():
+            rows = []
+            for every in (None, 10, 1):
+                table, encoded = self._fresh()
+                encoded.lookup(Equals("v", 3))
+                before = encoded.plane_rebuilds
+                lookups = 1
+                start = time.perf_counter()
+                for i in range(1000):
+                    if i % 2:
+                        table.update(2 * i, "v", i % 64)
+                    else:
+                        table.delete(2 * i)
+                    if every is not None and i % every == 0:
+                        encoded.lookup(Equals("v", 3))
+                        lookups += 1
+                elapsed = time.perf_counter() - start
+                rows.append(
+                    (
+                        "never" if every is None else f"every {every}",
+                        lookups,
+                        encoded.plane_rebuilds - before,
+                        f"{elapsed * 1e3:.1f}",
+                    )
+                )
+            return rows, encoded.width
+
+        rows, width = benchmark.pedantic(run, iterations=1, rounds=1)
+        print_table(
+            f"1000 rewrites of folded rows, n = {self.N}, k = {width}",
+            ["lookup", "lookups", "matrix copies", "total ms"],
+            rows,
+        )
+        for _, lookups, copies, _ in rows:
+            assert copies <= lookups  # one copy per lookup at most

@@ -1202,8 +1202,7 @@ def case_compression(tolerance: float, *, n: int) -> List[Comparison]:
     :class:`~repro.kernels.runs.CompressedPlaneSet`, and reports the
     frontier: compressed plane bytes against the packed baseline,
     page reads charged per distinct plane a query batch touches (a
-    word-aligned complement keeps the segmentation, so the positive
-    plane's footprint stands for either polarity), and the wall time
+    negated literal reads the same plane), and the wall time
     of the run-kernel query batch (gauges
     ``compression.bench.batch_seconds.<ordering>`` and
     ``compression.bench.batch_seconds.packed``).

@@ -123,10 +123,11 @@ class BitSlicedIndex(EncodedBitmapIndex):
         ``eq`` tracks rows still equal on the prefix.
         """
         nbits = self._row_count()
+        slices = [self.vector(i) for i in range(self.width)]
         lt = BitVector(nbits)
         eq = BitVector.ones(nbits)
         for i in range(self.width - 1, -1, -1):
-            slice_i = self._vectors[i]
+            slice_i = slices[i]
             if (bound >> i) & 1:
                 lt |= eq.andnot(slice_i)
                 eq &= slice_i
@@ -136,6 +137,6 @@ class BitSlicedIndex(EncodedBitmapIndex):
         # Exclude void code 0 (all slices zero): any row with some bit
         # set survives; rows with code 0 must be cleared.
         nonzero = BitVector(nbits)
-        for i in range(self.width):
-            nonzero |= self._vectors[i]
+        for slice_i in slices:
+            nonzero |= slice_i
         return result & nonzero

@@ -25,11 +25,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
 
 from repro.bitmap.bitvector import BitVector
+from repro.bitmap.ops import packed_length
 from repro.boolean.evaluator import AccessCounter
 from repro.boolean.reduction import (
     ReducedFunction,
@@ -55,10 +57,8 @@ from repro.index.base import (
 )
 from repro.kernels import (
     CompiledKernel,
-    CompressedPlaneSet,
     MappedPlaneSet,
     PlaneSet,
-    PlaneSnapshot,
     compile_function,
     write_plane_file,
 )
@@ -71,6 +71,35 @@ from repro.table.table import Table
 def _code_dtype(width: int) -> np.dtype:
     """Narrowest unsigned dtype holding every ``width``-bit code."""
     return np.min_scalar_type((1 << width) - 1)
+
+
+def pack_codes(codes: np.ndarray, width: int) -> np.ndarray:
+    """The ``(width, nwords)`` plane matrix of a per-row code array.
+
+    Row ``i`` packs bit ``i`` of every code, written straight into the
+    matrix: one ``np.packbits`` per plane and no per-plane vector.
+    """
+    matrix = np.zeros((width, packed_length(len(codes))), dtype=np.uint64)
+    rows = matrix.view(np.uint8)
+    used = -(-len(codes) // 8)
+    for i in range(width):
+        # A bool mask: np.packbits is about 10x slower on other dtypes.
+        bit = (codes & codes.dtype.type(1 << i)) != 0
+        rows[i, :used] = np.packbits(bit, bitorder="little")
+    return matrix
+
+
+def unpack_codes(
+    matrix: np.ndarray, nbits: int, dtype: np.dtype
+) -> np.ndarray:
+    """Per-row codes read off a plane matrix (``pack_codes`` inverse):
+    ``codes |= row_bits << i``, one pass per plane row."""
+    codes = np.zeros(nbits, dtype=dtype)
+    rows = np.ascontiguousarray(matrix).view(np.uint8)
+    for i in range(rows.shape[0]):
+        bits = np.unpackbits(rows[i], count=nbits, bitorder="little")
+        codes |= bits.astype(dtype, copy=False) << dtype.type(i)
+    return codes
 
 
 class EncodedBitmapIndex(Index):
@@ -103,19 +132,17 @@ class EncodedBitmapIndex(Index):
         ``c_e`` is its reduced function's vector count plus one for the
         existence vector, the same as ``void_mode="vector"`` with
         ``null_mode="encode"``.
-    exact_reduction:
-        Use exact minimal covers during logical reduction (disable for
-        very wide indexes where greedy covers are preferred).
-    plane_format:
-        ``"packed"`` (default) snapshots the planes into a dense
-        :class:`~repro.kernels.planes.PlaneSet` matrix;
-        ``"compressed"`` snapshots them into a word-aligned-run
-        :class:`~repro.kernels.runs.CompressedPlaneSet` instead, so
-        kernels evaluate run-at-a-time (``docs/compression.md``).
-        Results and ``c_e`` are bit-identical either way; the
-        compressed format wins on memory — dramatically so after a
-        :mod:`repro.shard.reorder` pass — at some per-query cost on
-        incompressible data.
+
+    Storage: the ``k`` planes of the folded rows are one ``(k, nwords)``
+    ``uint64`` matrix — a :class:`~repro.kernels.planes.PlaneSet`, or
+    a :class:`~repro.kernels.mapped.MappedPlaneSet` once spilled — and
+    the rows appended since the last fold are the delta tier's code
+    array.  That is the only copy of the index's bits.  Lookups
+    evaluate the matrix outside the lock, so once one has taken it, it
+    is never written to again: the next rewrite of a folded row
+    installs a new matrix instead (copy on write).  Writers that copy
+    the folded rows read them from RAM: a spilled matrix is promoted
+    first, outside the lock (:meth:`_copies_spilled`).
     """
 
     kind = "encoded-bitmap"
@@ -129,8 +156,6 @@ class EncodedBitmapIndex(Index):
         registry: Optional[MetricsRegistry] = None,
         void_mode: str = "encode",
         null_mode: str = "encode",
-        exact_reduction: bool = True,
-        plane_format: str = "packed",
     ) -> None:
         super().__init__(table, column_name, registry=registry)
         if void_mode not in ("encode", "vector"):
@@ -139,35 +164,27 @@ class EncodedBitmapIndex(Index):
             raise InvalidArgumentError(f"bad null_mode {null_mode!r}")
         self.void_mode = void_mode
         self.null_mode = null_mode
-        self.exact_reduction = exact_reduction
         self._mapping = (  # ebi: versioned
             encoding if encoding is not None else self._default_mapping()
         )
         self._validate_mapping()
-        self._vectors: List[BitVector] = [  # ebi: versioned
-            BitVector(len(table)) for _ in range(self._mapping.width)
-        ]
         self._exists_vector: Optional[BitVector] = (
             BitVector(len(table)) if void_mode == "vector" else None
         )
         self._null_vector: Optional[BitVector] = (
             BitVector(len(table)) if null_mode == "vector" else None
         )
-        self._init_caches(plane_format=plane_format)
+        self._init_caches()
         self._build()
 
-    def _init_caches(self, plane_format: str = "packed") -> None:
-        """Set up the lookup-side cache state.
+    def _init_caches(self) -> None:
+        """Set up the lookup-side cache state and an empty delta.
 
         Factored out of ``__init__`` because deserialisation
         (:func:`repro.index.serialization.loads`) restores an index via
-        ``__new__`` and must initialise the same state.
+        ``__new__`` and must initialise the same state; both then
+        install the plane matrix (``_build`` or the loaded rows).
         """
-        if plane_format not in ("packed", "compressed"):
-            raise InvalidArgumentError(
-                f"bad plane_format {plane_format!r}"
-            )
-        self.plane_format = plane_format
         self._reduction_cache: Dict[
             Tuple[Tuple[int, ...], int], ReducedFunction
         ] = {}
@@ -177,32 +194,32 @@ class EncodedBitmapIndex(Index):
         # compile cache on miss, so partitions sharing a mapping also
         # share kernels.
         self._kernel_cache: Dict[ReducedFunction, CompiledKernel] = {}
-        # Plane snapshot consumed by kernels (packed or compressed per
-        # ``plane_format``), rebuilt when the data version moves (any
-        # write to the indexed column).
-        self._planes: Optional[PlaneSnapshot] = None
-        self._planes_version = -1
+        self._planes: Union[PlaneSet, MappedPlaneSet]
+        # Whether a reader has taken the current matrix out of the lock
+        # (``_take_planes``) since it was published: until one has, a
+        # rewrite of a folded row may write into it in place.
+        self._planes_shared = False
         self._data_version = 0
+        #: Plane matrices published by a full build, a rewrite of a
+        #: folded row, a width expansion or a rebuild (folds count on
+        #: ``compactions``).
         self.plane_rebuilds = 0
         # Delta tier (arrival-order, per Section 4's dynamic scheme):
-        # the rows appended since the planes were last built — always
-        # the contiguous row suffix starting at ``_delta_start`` — kept
-        # as their codes in ``_delta_codes[:_delta_len]`` (a growable
-        # array in the planes' code dtype), matched term by term at
-        # query time and folded into the packed planes by compact().
-        # The bitmap vectors stay authoritative throughout
-        # (serialization/fsck read them, not the delta), so any plane
-        # rebuild doubles as a compaction.  ``_delta_seq`` is the delta
-        # half of the epoch: it moves under the lock on every delta
-        # mutation, where ``_data_version`` only moves on mapping/plane
-        # identity changes — appends no longer thrash the kernel caches.
+        # the rows appended since the last fold — always the contiguous
+        # row suffix starting at ``_planes.nbits`` — kept as their codes
+        # in ``_delta_codes[:_delta_len]`` (a growable array in the
+        # planes' code dtype), matched term by term at query time and
+        # folded into a new plane matrix by compact().  ``_delta_seq``
+        # is the delta half of the epoch: it moves under the lock on
+        # every delta mutation, where ``_data_version`` only moves on
+        # mapping/plane identity changes — appends no longer thrash the
+        # kernel caches.
         self._delta_codes = np.zeros(0, dtype=np.uint8)  # ebi: versioned
         self._delta_len = 0  # ebi: versioned
-        self._delta_start = 0
         self._delta_seq = 0
         self.compactions = 0
         # Out-of-core residency accounting (docs/out_of_core.md):
-        # spills swap the dense snapshot for a memory-mapped one,
+        # spills swap the dense matrix for a memory-mapped one,
         # promotions copy it back.  Plain attributes, like
         # ``plane_rebuilds`` — constant per-lookup instrumentation.
         self.plane_spills = 0
@@ -243,19 +260,23 @@ class EncodedBitmapIndex(Index):
             self._mapping.assign(NULL, self._mapping.next_free_code())
 
     def _build(self) -> None:
-        """Bulk-build the bit planes from the current table contents.
+        """Bulk-build the plane matrix from the current table contents.
 
         Each distinct value is encoded once into a lookup table, and
         the per-row code array is one ``np.fromiter`` pass over the
         column through it; void rows are then overwritten with one
-        fancy-index assignment and the planes sliced out with
-        vectorised masks (one :meth:`BitVector.from_mask` per plane).
-        The code array uses the narrowest unsigned dtype that holds
+        fancy-index assignment and the planes packed straight into a
+        new matrix (:func:`pack_codes`), which is published with a
+        ``_data_version`` bump.  The delta is left to the caller.  The
+        code array uses the narrowest unsigned dtype that holds
         ``2^k - 1``, so it and each plane's mask temporary take one
         byte per row for ``k <= 8``.
         """
         n = self._row_count()
+        width = self._mapping.width
+        dtype = _code_dtype(width)
         if n == 0:
+            self._publish(np.zeros((width, 0), dtype=np.uint64), 0)
             return
         column = self.table.column(self.column_name)
         lut = {
@@ -264,7 +285,6 @@ class EncodedBitmapIndex(Index):
         }
         if column.has_nulls():
             lut[None] = self._code_for(None)
-        dtype = _code_dtype(len(self._vectors))
         codes = np.fromiter(
             map(lut.__getitem__, iter(column)), dtype=dtype, count=n
         )
@@ -279,16 +299,33 @@ class EncodedBitmapIndex(Index):
             else:
                 self._null_vector = BitVector(n)
         codes[void] = self._void_code()
-        for i in range(len(self._vectors)):
-            mask = codes & dtype.type(1 << i)
-            # One bulk allocation per *plane* (k total), not per row —
-            # this is the hoisted form EBI102 pushes loops towards.
-            self._vectors[i] = BitVector.from_mask(mask != 0)  # ebilint: disable=EBI102
         if self._exists_vector is not None:
             exists = np.ones(n, dtype=bool)
             exists[void] = False
             self._exists_vector = BitVector.from_mask(exists)
-        self._data_version += 1
+        self._publish(pack_codes(codes, width), n)
+
+    def _publish(self, matrix: np.ndarray, nbits: int) -> None:
+        """Install ``matrix`` as the folded rows' planes.
+
+        Caller holds the lock (or owns the index under construction).
+        The previous matrix is left as it was, so a lookup that took
+        it keeps evaluating coherent bits.
+        """
+        with self._lock:
+            self._planes = PlaneSet(matrix, self._mapping.width, nbits)
+            self._planes_shared = False
+            self._data_version += 1
+            self.plane_rebuilds += 1
+
+    def _take_planes(self) -> Union[PlaneSet, MappedPlaneSet]:
+        """The current planes, for a read that runs outside the lock.
+
+        Caller holds the lock.  Marks the matrix shared, so no writer
+        writes into it from now on.
+        """
+        self._planes_shared = True
+        return self._planes
 
     def _void_code(self) -> int:
         if self.void_mode == "encode":
@@ -315,18 +352,53 @@ class EncodedBitmapIndex(Index):
         """Give an existing row a new code.
 
         A delta row is rewritten in place (only the epoch's
-        ``_delta_seq`` half must move); a row already folded into the
-        planes also costs a ``_data_version`` bump, and with it a plane
-        rebuild on the next lookup.
+        ``_delta_seq`` half must move).  A row already folded into the
+        planes is rewritten in the matrix itself while no reader has
+        taken it, else in a copy that is published; either way with a
+        ``_data_version`` bump.  Caller has made the planes dense
+        (:meth:`_copies_spilled`).
         """
         with self._lock:
-            for i, vector in enumerate(self._vectors):
-                vector[row_id] = bool((code >> i) & 1)
-            if self._delta_len and row_id >= self._delta_start:
-                self._delta_codes[row_id - self._delta_start] = code
+            planes = self._planes
+            folded = planes.nbits
+            if row_id >= folded:
+                self._delta_codes[: self._delta_len][row_id - folded] = code
             else:
-                self._data_version += 1
+                matrix = planes.matrix
+                if self._planes_shared:
+                    matrix = matrix.copy()
+                word, bit = divmod(row_id, 64)
+                bits = (code >> np.arange(self.width, dtype=np.uint64)) & 1
+                matrix[:, word] &= ~np.uint64(1 << bit)
+                matrix[:, word] |= bits.astype(np.uint64) << np.uint64(bit)
+                if matrix is planes.matrix:
+                    self._data_version += 1
+                else:
+                    self._publish(matrix, folded)
             self._delta_seq += 1
+
+    def _copies_spilled(
+        self, rewrites_folded: bool, values: Iterable[Any] = ()
+    ) -> bool:
+        """Whether a write would copy a spilled matrix under the lock.
+
+        Caller holds the lock.  A fold or a rewrite of a folded row
+        (``rewrites_folded``) copies the folded rows, and so may a new
+        value (a width expansion).  Reading a memory-mapped matrix for
+        that under the lock would be file I/O there (EBI303), so a
+        writer that gets ``True`` releases the lock, promotes the
+        planes (:meth:`promote_planes` reads the file outside it) and
+        retries.
+        """
+        return isinstance(self._planes, MappedPlaneSet) and (
+            rewrites_folded or not all(map(self._mapped, values))
+        )
+
+    def _mapped(self, value: Any) -> bool:
+        """Whether ``value`` has a code without a mapping change."""
+        if value is None:
+            return not self._encodes_null() or NULL in self._mapping
+        return value in self._mapping
 
     # ------------------------------------------------------------------
     # introspection
@@ -348,8 +420,40 @@ class EncodedBitmapIndex(Index):
         return self.width + extra
 
     def vector(self, i: int) -> BitVector:
-        """Direct (uncounted) access to bitmap vector ``B_i``."""
-        return self._vectors[i]
+        """Direct (uncounted) access to bitmap vector ``B_i``.
+
+        A read-only view of plane row ``i`` while the delta is empty;
+        otherwise a fresh vector over every row, the delta rows' bits
+        filled from their codes.
+        """
+        with self._lock:
+            planes = self._take_planes()
+            delta = self._delta_codes[: self._delta_len].copy()
+        words = planes.matrix[i].view(np.ndarray)
+        if not len(delta):
+            words.flags.writeable = False
+            return BitVector._from_words(words, planes.nbits)
+        vector = BitVector._from_words(words.copy(), planes.nbits)
+        vector.resize(planes.nbits + len(delta))
+        vector.set_indices(
+            planes.nbits + np.flatnonzero(delta & delta.dtype.type(1 << i))
+        )
+        return vector
+
+    def stored_codes(self) -> np.ndarray:
+        """Every ingested row's stored code, as an int64 array.
+
+        The plane matrix read back in one pass per plane
+        (:func:`unpack_codes`), then the delta codes for the suffix —
+        the inverse of the build, used by fsck.
+        """
+        with self._lock:
+            planes = self._take_planes()
+            delta = self._delta_codes[: self._delta_len].astype(np.int64)
+        folded = unpack_codes(
+            planes.matrix, planes.nbits, _code_dtype(planes.width)
+        )
+        return np.concatenate([folded.astype(np.int64), delta])
 
     def retrieval_function(self, value: Any) -> ReducedFunction:
         """The k-variable minterm ``f_value`` of Definition 2.1."""
@@ -395,17 +499,13 @@ class EncodedBitmapIndex(Index):
         # distinct (codes, width, don't-cares) shape, even when many
         # partition-local indexes share one mapping.
         return reduce_values_cached(
-            codes,
-            self.width,
-            dont_cares=self._mapping.dont_cares(),
-            exact=self.exact_reduction,
+            codes, self.width, dont_cares=self._mapping.dont_cares()
         )
 
     def average_density(self) -> float:
         """Mean density over the k vectors — ~1/2 per Section 3.1."""
-        if not self._vectors:
-            return 0.0
-        return sum(v.density() for v in self._vectors) / len(self._vectors)
+        width = self.width
+        return sum(self.vector(i).density() for i in range(width)) / width
 
     def nbytes(self) -> int:
         per_vector = BitVector(self._row_count()).nbytes()
@@ -523,31 +623,49 @@ class EncodedBitmapIndex(Index):
             self._delta_seq += 1
 
     def compact(self) -> bool:
-        """Fold the delta into the packed planes (atomic hot-swap).
+        """Fold the delta into the plane matrix (atomic hot-swap).
 
-        Rebuilds the :class:`~repro.kernels.planes.PlaneSet` over all
-        rows and swaps it in under the lock with a ``_data_version``
-        bump, so an in-flight optimistic lookup that paired the old
-        planes with the old version simply retries — it never sees a
-        half-swapped state.  Returns ``True`` when a fold happened.
-        Idempotent and cheap when there is nothing to fold.
+        Publishes a new, wider :class:`~repro.kernels.planes.PlaneSet`
+        made of the old rows plus the delta codes, under the lock with
+        a ``_data_version`` bump, so an in-flight optimistic lookup
+        that paired the old planes with the old version simply retries
+        — it never sees a half-swapped state.  A spilled matrix is
+        promoted first, outside the lock.  Returns ``True`` when a fold
+        happened.  Idempotent and cheap when there is nothing to fold.
         """
-        with self._lock:
-            if (
-                not self._delta_len
-                and self._planes is not None
-                and self._planes_version == self._data_version
-            ):
-                return False
-            crash_point("index.compact.pre-swap")
-            planes = self._build_planes()
-            self._planes = planes
-            self._data_version += 1
-            self._planes_version = self._data_version
-            self._clear_delta()
-            self.compactions += 1
-            crash_point("index.compact.post-swap")
-        return True
+        while True:
+            with self._lock:
+                if not self._delta_len:
+                    return False
+                if not self._copies_spilled(True):
+                    crash_point("index.compact.pre-swap")
+                    old = self._planes
+                    start = old.nbits
+                    end = start + self._delta_len
+                    # Whole words of the old matrix are copied; the rows
+                    # of its last, partly filled word are re-packed with
+                    # the delta.
+                    first = start // 64
+                    head = unpack_codes(
+                        old.matrix[:, first : first + 1],
+                        start - first * 64,
+                        self._delta_codes.dtype,
+                    )
+                    delta = self._delta_codes[: self._delta_len]
+                    tail = np.concatenate([head, delta])
+                    matrix = np.empty(
+                        (self.width, packed_length(end)), np.uint64
+                    )
+                    matrix[:, :first] = old.matrix[:, :first]
+                    matrix[:, first:] = pack_codes(tail, self.width)
+                    self._planes = PlaneSet(matrix, self.width, end)
+                    self._planes_shared = False
+                    self._data_version += 1
+                    self._clear_delta()
+                    self.compactions += 1
+                    crash_point("index.compact.post-swap")
+                    return True
+            self.promote_planes()
 
     def _delta_matches(
         self, function: ReducedFunction, limit: int
@@ -560,21 +678,22 @@ class EncodedBitmapIndex(Index):
         function's vector count — bit-identical to evaluating the same
         function over fully compacted planes.
         """
-        count = min(self._delta_len, limit - self._delta_start)
+        start = self._planes.nbits
+        count = min(self._delta_len, limit - start)
         if count <= 0:
             return np.zeros(0, dtype=np.int64)
         hits = function.evaluate_codes(self._delta_codes[:count])
-        return self._delta_start + np.flatnonzero(hits)
+        return start + np.flatnonzero(hits)
 
     def _vector_rows(self) -> int:
-        """Rows this index has ingested — the vectors' own length.
+        """Rows this index has ingested: folded rows plus the delta.
 
         Differs from ``len(self.table)`` only inside the window where
         a concurrent append has extended the table's columns but this
-        index's ``on_append`` has not run yet; the vectors are the
-        universe every lock-guarded read here must use.
+        index's ``on_append_rows`` has not run yet; the index's own
+        rows are the universe every lock-guarded read here must use.
         """
-        return len(self._vectors[0]) if self._vectors else 0
+        return self._planes.nbits + self._delta_len
 
     def _snapshot_rows(self) -> int:
         """Result-universe length: the thread's pin, else all rows."""
@@ -587,19 +706,16 @@ class EncodedBitmapIndex(Index):
     def clear_caches(self) -> None:
         """Drop this index's memoised lookup state.
 
-        Clears the reduction cache, the compiled-kernel cache and the
-        plane snapshot; the bitmap vectors themselves are untouched and
-        the next lookup rebuilds lazily.  Useful under memory pressure
-        and for cold-cache benchmarking (process-wide caches are
-        cleared separately via
+        Clears the reduction cache and the compiled-kernel cache; the
+        plane matrix is the index's data and stays.  Useful under
+        memory pressure and for cold-cache benchmarking (process-wide
+        caches are cleared separately via
         :func:`repro.boolean.reduction.clear_reduction_cache` /
         :func:`repro.kernels.clear_compile_cache`).
         """
         with self._lock:
             self._reduction_cache.clear()
             self._kernel_cache.clear()
-            self._planes = None
-            self._planes_version = -1
 
     #: Entries kept in the per-index compiled-kernel cache before it is
     #: reset wholesale (simple bound; the process-wide LRU behind it
@@ -627,49 +743,13 @@ class EncodedBitmapIndex(Index):
                 self._kernel_cache[function] = kernel
         return kernel
 
-    def _build_planes(self) -> PlaneSnapshot:
-        """Snapshot the vectors per ``plane_format``; caller holds the
-        lock (the vectors' own length is the coherent row universe)."""
-        if self.plane_format == "compressed":
-            return CompressedPlaneSet.from_vectors(
-                self._vectors, self._vector_rows()
-            )
-        return PlaneSet.from_vectors(self._vectors, self._vector_rows())
-
-    def planes(self) -> PlaneSnapshot:
-        """The current plane snapshot (packed matrix or word-aligned
-        runs, per the ``plane_format`` option) — public read surface
-        for benches and the compression demo; rebuilds lazily like any
-        lookup would."""
-        return self._plane_snapshot()
-
-    def _plane_snapshot(self) -> PlaneSnapshot:
-        """The current planes as a kernel-consumable snapshot.
-
-        Rebuilt only when ``_data_version`` has moved since the last
-        snapshot — i.e. after any write to the indexed column.
-        Rebuilds are counted on ``plane_rebuilds`` (a plain attribute,
-        not a registry counter, keeping per-lookup instrumentation
-        constant).
-        """
+    def planes(self) -> Union[PlaneSet, MappedPlaneSet]:
+        """The folded rows' plane matrix, dense or memory-mapped —
+        public read surface for benches, residency and tests.  Never
+        written to once returned; rows appended since the last fold
+        are in the delta, not here."""
         with self._lock:
-            if (
-                self._planes is None
-                or self._planes_version != self._data_version
-            ):
-                # The vectors' own length, not ``len(self.table)``, is
-                # the coherent row universe here: a concurrent append
-                # extends the table's columns *before* this index's
-                # on_append runs, and only the vectors are guarded by
-                # the lock being held.
-                self._planes = self._build_planes()
-                self._planes_version = self._data_version
-                # A full rebuild covers every row, so it doubles as a
-                # compaction: the delta's rows are now in the planes.
-                if self._delta_len:
-                    self._clear_delta()
-                self.plane_rebuilds += 1
-            return self._planes
+            return self._take_planes()
 
     @property
     def planes_mapped(self) -> bool:
@@ -680,36 +760,30 @@ class EncodedBitmapIndex(Index):
     def spill_planes(self, path: str) -> Optional[int]:
         """Swap the dense plane snapshot for a memory-mapped one.
 
-        Writes the current packed snapshot to ``path`` as a
-        CRC-headered plane file (``repro.kernels.mapped``) and installs
-        a read-only ``np.memmap`` view in its place, freeing the dense
-        matrix.  Lookups keep working unchanged — results and ``c_e``
-        are bit-identical — with plane words paging in from disk on
-        demand.
+        Writes the current dense matrix to ``path`` as a CRC-headered
+        plane file (``repro.kernels.mapped``) and installs a read-only
+        ``np.memmap`` view in its place, freeing the dense matrix.
+        Lookups keep working unchanged — results and ``c_e`` are
+        bit-identical — with plane words paging in from disk on demand.
 
         Returns the plane-file size in bytes, or ``None`` when the
-        snapshot is not a dense ``PlaneSet`` (compressed format, or
-        already mapped) or a concurrent write moved the data version
-        mid-spill (the stale file is left for the caller's directory
-        hygiene; the fresh snapshot stays authoritative).
+        matrix is already mapped or a concurrent write published a new
+        one mid-spill (the stale file is left for the caller's
+        directory hygiene; the fresh matrix stays authoritative).
 
         The file write happens outside the index lock (the EBI303
-        no-I/O-under-lock discipline); the swap re-validates
-        ``_planes_version`` *and* snapshot identity under the lock, so
-        a racing rebuild can never be clobbered by a stale map.
+        no-I/O-under-lock discipline); the swap re-validates the
+        matrix's identity under the lock — every write publishes a new
+        one — so a racing writer can never be clobbered by a stale map.
         """
         with self._lock:
-            planes = self._plane_snapshot()
-            version = self._planes_version
+            planes = self._take_planes()
         if not isinstance(planes, PlaneSet):
             return None
         nbytes = write_plane_file(planes, path)
         mapped = MappedPlaneSet.open(path)
         with self._lock:
-            if (
-                self._planes is planes
-                and self._planes_version == version
-            ):
+            if self._planes is planes:
                 self._planes = mapped
                 self.plane_spills += 1
                 return nbytes
@@ -722,21 +796,18 @@ class EncodedBitmapIndex(Index):
         The inverse of :meth:`spill_planes`, used when the residency
         budget allows a hot partition back into the dense tier.
         Returns the dense matrix size in bytes, or ``None`` when the
-        snapshot is not mapped or a concurrent write raced the
+        matrix is not mapped or a concurrent write raced the
         promotion.
         """
         with self._lock:
             planes = self._planes
-            version = self._planes_version
         if not isinstance(planes, MappedPlaneSet):
             return None
         dense = planes.materialize()
         with self._lock:
-            if (
-                self._planes is planes
-                and self._planes_version == version
-            ):
+            if self._planes is planes:
                 self._planes = dense
+                self._planes_shared = False
                 self.plane_promotions += 1
                 return dense.nbytes()
         return None
@@ -761,7 +832,7 @@ class EncodedBitmapIndex(Index):
         with self._lock:
             if version is not None and version != self._data_version:
                 return None
-            planes = self._plane_snapshot()
+            planes = self._take_planes()
             limit = self._snapshot_rows()
             # Delta rows are matched on their stored codes under the
             # same lock acquisition that validated the version, so
@@ -773,10 +844,9 @@ class EncodedBitmapIndex(Index):
                 else self._exists_vector.copy()
             )
         result = self._kernel_for(function).evaluate(planes, counter)
-        # The plane snapshot is frozen at the last compaction: grow to
-        # cover delta rows — to the vectors' own length when the
-        # existence vector must be ANDed in — or shrink to the batch's
-        # pinned watermark.
+        # The plane matrix is frozen at the last fold: grow to cover
+        # delta rows — to the existence vector's length when it must
+        # be ANDed in — or shrink to the batch's pinned watermark.
         nbits = limit if exists is None else len(exists)
         if len(result) != nbits:
             result.resize(nbits)
@@ -811,55 +881,65 @@ class EncodedBitmapIndex(Index):
             row_id, {self.column_name: (row.get(self.column_name),)}
         )
 
-    def on_append_rows(  # ebilint: disable=EBI302
+    def on_append_rows(
         self, first_row_id: int, columns: Mapping[str, Sequence[Any]]
     ) -> None:
+        values = columns[self.column_name]
+        while True:
+            with self._lock:
+                folds = (
+                    first_row_id + len(values) - self._planes.nbits
+                    >= self.DELTA_COMPACT_THRESHOLD
+                )
+                if not self._copies_spilled(folds, values):
+                    self._append_values(first_row_id, values)
+                    return
+            self.promote_planes()
+
+    def _append_values(  # ebilint: disable=EBI302
+        self, first_row_id: int, values: Sequence[Any]
+    ) -> None:
+        """The body of :meth:`on_append_rows`; caller holds the lock."""
         # Protocol rule suppressed: ``_append_codes`` bumps
         # ``_delta_seq`` for every chunk it writes; the analyzer is
         # tripped only by the inline ``compact()`` threshold call,
         # whose own mutation paths all bump before returning (checked
         # separately on ``compact``).
-        values = columns[self.column_name]
-        with self._lock:
-            # Every new value is encoded (Section 2.2's expansion)
-            # before any code of the batch is written, in arrival
-            # order, so the codes match a row-at-a-time append.  Each
-            # row is charged the width in force once its own value is
-            # encodable, as the row-at-a-time path charges it.
-            distinct = dict.fromkeys(values)
-            ops = 0
-            charged = 0
-            for value in distinct:
-                width = self.width
-                self._ensure_encodable(value)
-                if self.width != width:
-                    first = values.index(value)
-                    ops += width * (first - charged)
-                    charged = first
-            ops += self.width * (len(values) - charged)
-            lut = {value: self._code_for(value) for value in distinct}
-            codes = np.fromiter(
-                map(lut.__getitem__, values),
-                dtype=_code_dtype(self.width),
-                count=len(values),
-            )
-            null_code = (
-                lut.get(None) if self._null_vector is not None else None
-            )
-            # A batch that reaches the compaction threshold is split
-            # there, so the fold lands on the same row as it would
-            # appending one row at a time.
-            done = 0
-            while done < len(codes):
-                room = max(
-                    1, self.DELTA_COMPACT_THRESHOLD - self._delta_len
-                )
-                chunk = codes[done:done + room]
-                self._append_codes(first_row_id + done, chunk, null_code)
-                done += len(chunk)
-                if self._delta_len >= self.DELTA_COMPACT_THRESHOLD:
-                    self.compact()
-            self.stats.maintenance_ops += ops
+        # Every new value is encoded (Section 2.2's expansion) before
+        # any code of the batch is written, in arrival order, so the
+        # codes match a row-at-a-time append.  Each row is charged the
+        # width in force once its own value is encodable, as the
+        # row-at-a-time path charges it.
+        distinct = dict.fromkeys(values)
+        ops = 0
+        charged = 0
+        for value in distinct:
+            width = self.width
+            self._ensure_encodable(value)
+            if self.width != width:
+                first = values.index(value)
+                ops += width * (first - charged)
+                charged = first
+        ops += self.width * (len(values) - charged)
+        lut = {value: self._code_for(value) for value in distinct}
+        codes = np.fromiter(
+            map(lut.__getitem__, values),
+            dtype=_code_dtype(self.width),
+            count=len(values),
+        )
+        null_code = lut.get(None) if self._null_vector is not None else None
+        # A batch that reaches the compaction threshold is split there,
+        # so the fold lands on the same row as it would appending one
+        # row at a time.
+        done = 0
+        while done < len(codes):
+            room = max(1, self.DELTA_COMPACT_THRESHOLD - self._delta_len)
+            chunk = codes[done:done + room]
+            self._append_codes(first_row_id + done, chunk, null_code)
+            done += len(chunk)
+            if self._delta_len >= self.DELTA_COMPACT_THRESHOLD:
+                self.compact()
+        self.stats.maintenance_ops += ops
 
     def _append_codes(
         self,
@@ -867,20 +947,14 @@ class EncodedBitmapIndex(Index):
         codes: np.ndarray,
         null_code: Optional[int],
     ) -> None:
-        """Write appended rows' codes into the vectors and the delta.
+        """Append rows' codes to the delta (and the explicit vectors).
 
-        Each vector is resized once and gets its new bits in one
-        scatter.  The rows join the delta (only ``_delta_seq`` moves),
-        so the plane snapshot, compiled kernels and reductions all
-        survive the append.
+        Only the delta and the existence/NULL vectors change (only
+        ``_delta_seq`` moves), so the plane matrix, compiled kernels
+        and reductions all survive the append.
         """
         end = first_row_id + len(codes)
         with self._lock:
-            for i, vector in enumerate(self._vectors):
-                vector.resize(end)
-                vector.set_indices(
-                    first_row_id + np.flatnonzero(codes & (1 << i))
-                )
             if self._exists_vector is not None:
                 self._exists_vector.resize(end)
                 self._exists_vector.set_indices(np.arange(first_row_id, end))
@@ -890,11 +964,8 @@ class EncodedBitmapIndex(Index):
                     self._null_vector.set_indices(
                         first_row_id + np.flatnonzero(codes == null_code)
                     )
-            if not self._delta_len:
-                self._delta_start = first_row_id
-            # Rows appended while the index was detached hold all-zero
-            # bits in the vectors: code 0 in the delta too.
-            offset = first_row_id - self._delta_start
+            # Rows appended while the index was detached hold code 0.
+            offset = first_row_id - self._planes.nbits
             needed = offset + len(codes)
             buffer = self._delta_codes
             if needed > len(buffer) or buffer.dtype != codes.dtype:
@@ -909,25 +980,22 @@ class EncodedBitmapIndex(Index):
             self._delta_seq += 1
 
     def _ensure_encodable(self, value: Any) -> None:
-        """Expand the mapping (and vectors) for a brand-new value.
+        """Expand the mapping (and planes) for a brand-new value.
 
         Implements Equation 1: when the enlarged domain still fits the
         current width, only the mapping grows (Figure 2a); otherwise a
-        new all-zero bitmap vector is added and cached reductions are
-        invalidated (Figure 2b).
+        plane matrix with a new all-zero row is published and cached
+        reductions are invalidated (Figure 2b).
         """
-        if value is None:
-            if not self._encodes_null() or NULL in self._mapping:
-                return
-            value_key: Hashable = NULL
-        else:
-            if value in self._mapping:
-                return
-            value_key = value
+        if self._mapped(value):
+            return
+        value_key: Hashable = NULL if value is None else value
         with self._lock:
             _, expanded = self._mapping.add_value(value_key)
             if expanded:
-                self._vectors.append(BitVector(self._row_count()))
+                old = self._planes
+                zero_row = np.zeros((1, old.nwords), np.uint64)
+                self._publish(np.vstack([old.matrix, zero_row]), old.nbits)
                 # Delta codes follow the width's dtype, so a delta row
                 # rewritten with the new value's code still fits.
                 self._delta_codes = self._delta_codes.astype(
@@ -939,10 +1007,8 @@ class EncodedBitmapIndex(Index):
                 # op per mapped value.
                 self.stats.maintenance_ops += len(self._mapping)
             # Any mapping change invalidates the cached reductions and
-            # the kernels compiled from them; the plane snapshot
-            # follows the data version, bumped here because an
-            # expansion changes the plane count without touching
-            # existing rows.
+            # the kernels compiled from them, and moves the data
+            # version so in-flight lookups re-derive their function.
             self._reduction_cache.clear()
             self._kernel_cache.clear()
             self._data_version += 1
@@ -959,69 +1025,52 @@ class EncodedBitmapIndex(Index):
         """
         with self._lock:
             self._mapping = mapping
-            self._reduction_cache.clear()
-            self._kernel_cache.clear()
             self.rebuild()
 
     def rebuild(self) -> None:
-        """Rebuild every bit plane from the base table (atomic swap).
+        """Rebuild the plane matrix from the base table (atomic swap).
 
         Used by :mod:`repro.shard.reorder` after a physical row
-        permutation: the mapping (and therefore every cached reduction
-        and compiled kernel) survives — only the planes change — so
-        the vector reset, bulk rebuild, delta clear and epoch bumps
-        happen under one lock acquisition, exactly like
-        :meth:`apply_mapping`'s hot-swap.  A concurrent optimistic
-        lookup that paired the old planes with the old version retries
-        against the new state.
+        permutation, by :meth:`apply_mapping` and by
+        :func:`repro.index.verify.repair`: the reduction and kernel
+        caches, the bulk rebuild, the publish with its
+        ``_data_version`` bump and the delta clear happen under one
+        lock acquisition, so no lookup pairs reductions, kernels or
+        planes from before the rebuild with state from after it.  A
+        concurrent optimistic lookup that paired the old planes with
+        the old version retries against the new state.
         """
         with self._lock:
-            self._vectors = [
-                BitVector(self._row_count())
-                for _ in range(self._mapping.width)
-            ]
+            self._reduction_cache.clear()
+            self._kernel_cache.clear()
             self._build()
-            # _build bumps _data_version only when rows exist; bump
-            # unconditionally so a snapshot of an emptied table is
-            # still invalidated.
-            self._data_version += 1
-            self._clear_delta()
-
-    def replace_vectors(self, vectors: Mapping[int, BitVector]) -> None:
-        """Swap in rebuilt bit vectors by position and drop extras.
-
-        The recovery path of :func:`repro.index.verify.repair`: the
-        swap, the epoch bump and the delta clear happen under one lock
-        acquisition like :meth:`rebuild`, and the reduction and kernel
-        caches go too, so no lookup serves planes, reductions or
-        kernels derived from the replaced vectors.  Positions past the
-        current vector count are appended in ascending order.
-        """
-        with self._lock:
-            for i in sorted(vectors):
-                if i < len(self._vectors):
-                    self._vectors[i] = vectors[i]
-                else:
-                    self._vectors.append(vectors[i])
-            del self._vectors[self._mapping.width:]
-            self.clear_caches()
-            self._data_version += 1
             self._clear_delta()
 
     def _apply_update(self, row_id: int, old: Any, new: Any) -> None:
-        with self._lock:
-            self._ensure_encodable(new)
-            if self._null_vector is not None:
-                self._null_vector[row_id] = new is None
-            self._rewrite_code(row_id, self._code_for(new))
-            self.stats.maintenance_ops += self.width
+        while True:
+            with self._lock:
+                folded = row_id < self._planes.nbits
+                if not self._copies_spilled(folded, (new,)):
+                    self._ensure_encodable(new)
+                    if self._null_vector is not None:
+                        self._null_vector[row_id] = new is None
+                    self._rewrite_code(row_id, self._code_for(new))
+                    self.stats.maintenance_ops += self.width
+                    return
+            self.promote_planes()
 
     def on_delete(self, row_id: int) -> None:
-        with self._lock:
-            if self.void_mode == "encode":
-                self._rewrite_code(row_id, self._void_code())
-            else:
-                self._exists_vector[row_id] = False
-            if self._null_vector is not None:
-                self._null_vector[row_id] = False
-            self.stats.maintenance_ops += 1
+        while True:
+            with self._lock:
+                folded = row_id < self._planes.nbits
+                encoded = self.void_mode == "encode"
+                if not self._copies_spilled(folded and encoded):
+                    if encoded:
+                        self._rewrite_code(row_id, self._void_code())
+                    else:
+                        self._exists_vector[row_id] = False
+                    if self._null_vector is not None:
+                        self._null_vector[row_id] = False
+                    self.stats.maintenance_ops += 1
+                    return
+            self.promote_planes()

@@ -27,9 +27,9 @@ from repro.table.table import Table
 class PagedEncodedBitmapIndex(EncodedBitmapIndex):
     """Encoded bitmap index whose vectors live on simulated pages.
 
-    The in-memory vectors remain the write path (maintenance mutates
-    them, then flushes the dirty vector); queries *read* through the
-    store so page I/O is counted.
+    The in-memory plane matrix and delta remain the write path
+    (maintenance updates them, then flushes every vector); queries
+    *read* through the store so page I/O is counted.
     """
 
     kind = "encoded-bitmap-paged"
@@ -64,12 +64,8 @@ class PagedEncodedBitmapIndex(EncodedBitmapIndex):
         return self._store
 
     def _flush_all(self) -> None:
-        for i, vector in enumerate(self._vectors):
-            self._store.store(i, vector)
-
-    def _flush(self, i: int) -> None:
-        if self._store is not None:
-            self._store.update(i, self._vectors[i])
+        for i in range(self.width):
+            self._store.store(i, self.vector(i))
 
     # ------------------------------------------------------------------
     def _evaluate(

@@ -577,7 +577,6 @@ def loads(payload: bytes, table: Table) -> SerializableIndex:
     Index.__init__(index, table, header["column"])
     index.void_mode = header["void_mode"]
     index.null_mode = header["null_mode"]
-    index.exact_reduction = True
     index._mapping = parsed.mapping
     index._init_caches()
     index._exists_vector = None
@@ -592,11 +591,7 @@ def loads(payload: bytes, table: Table) -> SerializableIndex:
                 null_vector[row_id] = True
         index._null_vector = null_vector
 
-    nbits = header["rows"]
-    index._vectors = [
-        BitVector._from_words(words.copy(), nbits)
-        for words in parsed.vectors
-    ]
+    index._publish(np.vstack(parsed.vectors), header["rows"])
     return index
 
 

@@ -21,7 +21,13 @@ index was built or loaded.  :func:`verify_index` audits a live
     The k vectors partition the rows: every row's stored code decodes
     to exactly one mapped value, and that value is the row's actual
     column value — i.e. each row is covered by exactly one minterm,
-    the right one.
+    the right one.  The delta tier's codes (the rows appended since
+    the last fold) are the stored codes' suffix, audited alike.
+
+Stored codes are read off the plane matrix in one pass per plane
+(plus the delta codes), expected codes come from one pass over the
+column through a value->code table, and every audit is an array
+comparison.
 
 ``reduction-cache``
     Definition 2.5 ties cost guarantees to reductions over the
@@ -29,12 +35,12 @@ index was built or loaded.  :func:`verify_index` audits a live
     the current width and cover exactly its selected codes over the
     assigned code set (unused codes are don't-cares).
 
-:func:`repair` is the recovery path: it rebuilds only the damaged
-bitmap vectors from the base column (the mapping itself cannot be
-reconstructed from data, so mapping corruption is reported as
-unrepairable), drops the plane snapshot, the delta tier and the
-reduction and kernel caches derived from the damaged vectors, and
-clears the index's degraded flag once a re-audit passes.
+:func:`repair` is the recovery path: it reports which bitmap vectors
+were damaged and publishes a plane matrix rebuilt from the base column
+(the mapping itself cannot be reconstructed from data, so mapping
+corruption is reported as unrepairable), dropping the delta tier and
+the reduction and kernel caches, and clears the index's degraded flag
+once a re-audit passes.
 
 :func:`verify_payload` is the file-level half used by ``repro fsck``:
 it checks a serialised payload's checksums and structure without
@@ -44,14 +50,14 @@ needing the table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bitmap.bitvector import BitVector
 from repro.boolean.reduction import ReducedFunction
 from repro.encoding.mapping import NULL, VOID, MappingTable
-from repro.errors import CorruptIndexError, EncodingError
+from repro.errors import CorruptIndexError
 from repro.index import serialization
 from repro.index.encoded_bitmap import EncodedBitmapIndex
 
@@ -119,80 +125,93 @@ class FsckReport:
 # ----------------------------------------------------------------------
 # expected state derived from the base column
 # ----------------------------------------------------------------------
-def _expected_code(
-    index: EncodedBitmapIndex, row_id: int, value: Any
-) -> Optional[int]:
-    """The code this row *should* store, or None if not derivable."""
+def _expected_codes(index: EncodedBitmapIndex) -> np.ndarray:
+    """Each row's expected code (int64), ``-1`` where not derivable.
+
+    One pass over the column through a value->code table — the
+    build's lookup table, made tolerant of values the mapping lacks.
+    """
     mapping = index.mapping
-    if index.table.is_void(row_id) or (
-        value is None and not index._encodes_null()
-    ):
-        # Void rows, and NULL rows that share void's code.
-        if index.void_mode == "encode":
-            return mapping.encode(VOID) if VOID in mapping else None
-        return 0
-    if value is None:
-        return mapping.encode(NULL) if NULL in mapping else None
-    if value in mapping:
-        return mapping.encode(value)
-    return None
+    if index.void_mode == "encode":
+        void_code = mapping.encode(VOID) if VOID in mapping else -1
+    else:
+        void_code = 0
+
+    def code_of(value: Any) -> int:
+        if value is None and not index._encodes_null():
+            return void_code  # NULL shares void's code
+        key = NULL if value is None else value
+        return mapping.encode(key) if key in mapping else -1
+
+    column = index.table.column(index.column_name)
+    lookup = {v: code_of(v) for v in (*column.distinct_values(), None)}
+    expected = np.fromiter(
+        map(lookup.get, column, repeat(-1)), dtype=np.int64, count=len(column)
+    )
+    expected[_void_rows(index)] = void_code
+    return expected
 
 
-def _stored_code(index: EncodedBitmapIndex, row_id: int) -> int:
-    code = 0
-    for i in range(len(index._vectors)):
-        if index._vectors[i][row_id]:
-            code |= 1 << i
-    return code
+def _void_rows(index: EncodedBitmapIndex) -> np.ndarray:
+    """Void row ids, ascending."""
+    return np.sort(np.fromiter(index.table.void_rows(), dtype=np.int64))
+
+
+def _examples(rows: np.ndarray) -> List[int]:
+    return rows[:_MAX_DETAILS].tolist()
 
 
 # ----------------------------------------------------------------------
-# the four audits
+# the audits
 # ----------------------------------------------------------------------
+def _mapping_problems(mapping: MappingTable) -> List[str]:
+    """Definition 2.1: a one-to-one map whose codes fit the width."""
+    problems: List[str] = []
+    codes = mapping.codes()
+    if len(set(codes)) != len(codes):
+        problems.append(
+            "mapping is not one-to-one: a code carries two values"
+        )
+    top = 1 << mapping.width
+    for value, code in mapping.items():
+        if not 0 <= code < top:
+            problems.append(
+                f"code {code} of value {value!r} does not fit "
+                f"width {mapping.width}"
+            )
+    return problems
+
+
 def _check_mapping_consistency(
     index: EncodedBitmapIndex, report: FsckReport
 ) -> bool:
     """Definition 2.1 structure; returns False when the rest of the
     audit cannot proceed meaningfully."""
     mapping = index.mapping
-    ok = True
-    codes = mapping.codes()
-    if len(set(codes)) != len(codes):
-        report.violations.append(
-            Violation(
-                INVARIANT_MAPPING,
-                "mapping is not one-to-one: a code carries two values",
-            )
-        )
-        ok = False
-    top = 1 << mapping.width
-    for value, code in mapping.items():
-        if not 0 <= code < top:
-            report.violations.append(
-                Violation(
-                    INVARIANT_MAPPING,
-                    f"code {code} of value {value!r} does not fit "
-                    f"width {mapping.width}",
-                )
-            )
-            ok = False
-    if len(index._vectors) != mapping.width:
+    problems = _mapping_problems(mapping)
+    report.violations.extend(
+        Violation(INVARIANT_MAPPING, problem) for problem in problems
+    )
+    ok = not problems
+    planes = index.planes()
+    if planes.width != mapping.width:
         report.violations.append(
             Violation(
                 INVARIANT_MAPPING,
                 f"mapping width {mapping.width} != "
-                f"{len(index._vectors)} bitmap vectors",
+                f"{planes.width} bitmap vectors",
             )
         )
         ok = False
     rows = len(index.table)
-    for i, vector in enumerate(index._vectors):
+    spanned = planes.nbits + index.delta_rows()
+    for i in range(planes.width):
         report.checked_vectors += 1
-        if len(vector) != rows:
+        if spanned != rows:
             report.violations.append(
                 Violation(
                     INVARIANT_MAPPING,
-                    f"vector {i} spans {len(vector)} rows, table has "
+                    f"vector {i} spans {spanned} rows, table has "
                     f"{rows}",
                 )
             )
@@ -214,11 +233,16 @@ def _check_mapping_consistency(
 
 
 def _check_void_code_zero(
-    index: EncodedBitmapIndex, report: FsckReport
+    index: EncodedBitmapIndex,
+    report: FsckReport,
+    stored: np.ndarray,
+    expected: np.ndarray,
 ) -> None:
     """Theorem 2.1 (or the explicit existence vector's contract)."""
     mapping = index.mapping
-    void_rows = index.table.void_rows()
+    void = _void_rows(index)
+    live = np.ones(len(stored), dtype=bool)
+    live[void] = False
     if index.void_mode == "encode":
         if VOID not in mapping:
             report.violations.append(
@@ -236,38 +260,24 @@ def _check_void_code_zero(
                     "Theorem 2.1 reserves code 0",
                 )
             )
-        bad_void = [
-            row_id
-            for row_id in sorted(void_rows)
-            if _stored_code(index, row_id) != 0
-        ]
-        if bad_void:
+        bad_void = void[stored[void] != 0]
+        if len(bad_void):
             report.violations.append(
                 Violation(
                     INVARIANT_VOID,
                     f"{len(bad_void)} void row(s) store a non-zero "
-                    f"code (e.g. rows {bad_void[:_MAX_DETAILS]})",
+                    f"code (e.g. rows {_examples(bad_void)})",
                 )
             )
-        column = index.table.column(index.column_name)
-        bad_live = [
-            row_id
-            for row_id in range(len(index.table))
-            if row_id not in void_rows
-            and _stored_code(index, row_id) == 0
-            # NULL rows legitimately store 0 when nulls live in a
-            # separate vector rather than an encoded code.
-            and not (
-                index.null_mode == "vector"
-                and column[row_id] is None
-            )
-        ]
-        if bad_live:
+        # NULL rows legitimately store 0 when nulls live in a separate
+        # vector rather than an encoded code: their expected code is 0.
+        bad_live = np.flatnonzero(live & (stored == 0) & (expected != 0))
+        if len(bad_live):
             report.violations.append(
                 Violation(
                     INVARIANT_VOID,
                     f"{len(bad_live)} live row(s) store the VOID "
-                    f"code 0 (e.g. rows {bad_live[:_MAX_DETAILS]})",
+                    f"code 0 (e.g. rows {_examples(bad_live)})",
                 )
             )
     else:
@@ -280,57 +290,59 @@ def _check_void_code_zero(
                 )
             )
             return
-        wrong = [
-            row_id
-            for row_id in range(len(index.table))
-            if bool(exists[row_id]) == (row_id in void_rows)
-        ]
-        if wrong:
+        wrong = np.flatnonzero(exists.to_mask() != live)
+        if len(wrong):
             report.violations.append(
                 Violation(
                     INVARIANT_VOID,
                     f"existence vector disagrees with void rows on "
                     f"{len(wrong)} row(s) "
-                    f"(e.g. rows {wrong[:_MAX_DETAILS]})",
+                    f"(e.g. rows {_examples(wrong)})",
                 )
             )
 
 
 def _check_row_partition(
-    index: EncodedBitmapIndex, report: FsckReport
+    index: EncodedBitmapIndex,
+    report: FsckReport,
+    stored: np.ndarray,
+    expected: np.ndarray,
 ) -> None:
-    """Every row covered by exactly one minterm — the right one."""
+    """Every row covered by exactly one minterm — the right one.
+
+    ``stored`` (:meth:`EncodedBitmapIndex.stored_codes`) ends with the
+    delta tier's codes, so the delta suffix is audited with the folded
+    rows."""
     mapping = index.mapping
-    column = index.table.column(index.column_name)
-    uncovered: List[int] = []
-    mismatched: List[Tuple[int, int]] = []
-    for row_id in range(len(index.table)):
-        report.checked_rows += 1
-        if index.table.is_void(row_id):
-            continue  # audited by void-code-zero
-        stored = _stored_code(index, row_id)
-        if not mapping.has_code(stored):
-            uncovered.append(row_id)
-            continue
-        expected = _expected_code(index, row_id, column[row_id])
-        if expected is not None and stored != expected:
-            mismatched.append((row_id, stored))
-    if uncovered:
+    report.checked_rows += len(stored)
+    assigned = np.zeros(1 << mapping.width, dtype=bool)
+    assigned[list(mapping.codes())] = True
+    live = np.ones(len(stored), dtype=bool)
+    live[_void_rows(index)] = False  # void rows: audited by void-code-zero
+    covered = assigned[stored]
+    uncovered = np.flatnonzero(live & ~covered)
+    mismatched = np.flatnonzero(
+        live & covered & (expected >= 0) & (stored != expected)
+    )
+    if len(uncovered):
         report.violations.append(
             Violation(
                 INVARIANT_PARTITION,
                 f"{len(uncovered)} row(s) store a code outside the "
                 f"mapping — covered by no minterm "
-                f"(e.g. rows {uncovered[:_MAX_DETAILS]})",
+                f"(e.g. rows {_examples(uncovered)})",
             )
         )
-    if mismatched:
+    if len(mismatched):
+        pairs = [
+            (int(row), int(stored[row]))
+            for row in mismatched[:_MAX_DETAILS]
+        ]
         report.violations.append(
             Violation(
                 INVARIANT_PARTITION,
                 f"{len(mismatched)} row(s) store a code that decodes "
-                f"to the wrong value "
-                f"(e.g. {mismatched[:_MAX_DETAILS]})",
+                f"to the wrong value (e.g. {pairs})",
             )
         )
 
@@ -386,8 +398,10 @@ def verify_index(
     report = FsckReport()
     structure_ok = _check_mapping_consistency(index, report)
     if structure_ok:
-        _check_void_code_zero(index, report)
-        _check_row_partition(index, report)
+        stored = index.stored_codes()
+        expected = _expected_codes(index)
+        _check_void_code_zero(index, report, stored, expected)
+        _check_row_partition(index, report, stored, expected)
         _check_reduction_cache(index, report)
     if mark:
         index.degraded = not report.ok
@@ -395,55 +409,54 @@ def verify_index(
 
 
 def repair(index: EncodedBitmapIndex) -> List[int]:
-    """Rebuild only the damaged bitmap vectors from the base column.
+    """Rebuild the plane matrix from the base column.
 
-    Returns the indexes of the vectors that were rewritten.  The
-    mapping table is the one artefact that cannot be reconstructed
-    from data (the value->code assignment is arbitrary), so mapping
-    corruption raises :class:`~repro.errors.CorruptIndexError`.
-    The vectors are swapped in through
-    :meth:`EncodedBitmapIndex.replace_vectors`, so no lookup serves
-    planes, reductions or kernels from before the repair.  The index
-    is then re-audited: a clean re-audit clears the degraded flag.
+    Returns the indexes of the vectors (plane rows) that were damaged.
+    The mapping table is the one artefact that cannot be
+    reconstructed from data (the value->code assignment is arbitrary),
+    so mapping corruption raises
+    :class:`~repro.errors.CorruptIndexError`.  The new matrix is
+    published through :meth:`EncodedBitmapIndex.rebuild`, so no lookup
+    serves planes, reductions or kernels from before the repair.  The
+    index is then re-audited: a clean re-audit clears the degraded
+    flag.
     """
     mapping = index.mapping
-    try:
-        from repro.encoding.well_defined import check_mapping
-
-        check_mapping(mapping)
-    except EncodingError as exc:
+    problems = _mapping_problems(mapping)
+    if index.void_mode == "encode" and (
+        VOID not in mapping or mapping.encode(VOID) != 0
+    ):
+        problems.append("Theorem 2.1 reserves code 0 for VOID")
+    if problems:
         raise CorruptIndexError(
             f"mapping table is corrupt and cannot be rebuilt from the "
-            f"base column: {exc}",
+            f"base column: {problems[0]}",
             field="mapping",
-        ) from exc
-    rows = len(index.table)
-    column = index.table.column(index.column_name)
-
-    # Expected per-row codes, straight from the base column.
-    expected_codes: List[int] = []
-    for row_id in range(rows):
-        expected = _expected_code(index, row_id, column[row_id])
-        if expected is None:
-            raise CorruptIndexError(
-                f"row {row_id} holds a value absent from the mapping; "
-                "rebuild the index from scratch",
-                field="mapping",
-            )
-        expected_codes.append(expected)
-
-    codes = np.array(expected_codes, dtype=np.int64)
-    expected_vectors = [
-        BitVector.from_mask((codes >> i) & 1) for i in range(mapping.width)
-    ]
-    repaired = [
-        i
-        for i, expected_vector in enumerate(expected_vectors)
-        if i >= len(index._vectors)
-        or len(index._vectors[i]) != rows
-        or index._vectors[i] != expected_vector
-    ]
-    index.replace_vectors({i: expected_vectors[i] for i in repaired})
+        )
+    expected = _expected_codes(index)
+    missing = np.flatnonzero(expected < 0)
+    if len(missing):
+        raise CorruptIndexError(
+            f"row {int(missing[0])} holds a value absent from the "
+            "mapping; rebuild the index from scratch",
+            field="mapping",
+        )
+    stored = index.stored_codes()
+    present = index.planes().width
+    if len(stored) != len(expected):
+        repaired = list(range(mapping.width))
+    else:
+        differs = stored ^ expected
+        if index.void_mode == "vector":
+            # The existence vector masks void rows; their codes are free.
+            differs[_void_rows(index)] = 0
+        diff = int(np.bitwise_or.reduce(differs, initial=0))
+        repaired = [
+            i
+            for i in range(mapping.width)
+            if (diff >> i) & 1 or i >= present
+        ]
+    index.rebuild()
     verify_index(index, mark=True)
     return repaired
 

@@ -10,13 +10,19 @@ matrix of a :class:`~repro.kernels.planes.PlaneSet`:
   exactly matching ``evaluate_dnf``'s early exits;
 * **common-literal factoring** — literals appearing in every term are
   hoisted out of the OR loop and AND-ed into the result once;
-* **zero per-literal allocations** — terms accumulate into one
-  thread-local scratch buffer via ``np.bitwise_and(..., out=...)``;
-  negated literals are row reads from the plane matrix, never fresh
-  inversions;
+* **zero per-literal allocations** — terms accumulate into
+  thread-local scratch buffers via ``np.bitwise_and(..., out=...)``;
+* **negation without stored complements** — the plane matrix holds
+  only the ``k`` planes.  A term ANDs its positive rows with the
+  complement of the OR of its negated rows (De Morgan: one invert per
+  term); when more terms carry a negated literal than there are
+  negated planes, each such plane is instead complemented once per
+  evaluation into a scratch row table and every term is a plain AND
+  chain;
 * **adaptive strategy** — short vectors (≤ :data:`GATHER_MAX_WORDS`
-  words) use a single gather + ``np.bitwise_and.reduceat`` +
-  ``np.bitwise_or.reduce`` (three numpy calls for the whole DNF); long
+  words) gather from that row table once, then
+  ``np.bitwise_and.reduceat`` + ``np.bitwise_or.reduce`` (a handful of
+  numpy calls for the whole DNF); long
   vectors use the per-term loop, whose scratch stays cache-resident;
 * **run strategy** — handed a
   :class:`~repro.kernels.runs.CompressedPlaneSet` instead of a packed
@@ -47,7 +53,7 @@ agree — a property enforced by the randomized differential suite in
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,13 +87,15 @@ GATHER_MAX_WORDS = 128
 #: same DNF — across indexes and across partitions — share one kernel.
 COMPILE_CACHE_SIZE = 256
 
-_FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 _scratch_local = threading.local()
 
+#: A term's literals split by sign: (positive plane rows, negated
+#: plane rows).  The term is ``AND(pos) & ~OR(neg)``.
+Literals = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-def _scratch(nwords: int) -> np.ndarray:
-    """A reusable per-thread ``uint64`` buffer of ``nwords`` words.
+
+def _scratch(nwords: int, rows: int) -> np.ndarray:
+    """A reusable per-thread ``(rows, nwords)`` ``uint64`` buffer.
 
     Thread-local so concurrent partitions in
     :class:`~repro.shard.executor.ParallelExecutor` never share a
@@ -99,99 +107,166 @@ def _scratch(nwords: int) -> np.ndarray:
         pool = {}
         _scratch_local.buffers = pool
     buffer = pool.get(nwords)
-    if buffer is None:
+    if buffer is None or len(buffer) < rows:
         if len(pool) >= 8:
             pool.clear()
-        buffer = np.empty(nwords, dtype=np.uint64)
+        buffer = np.empty((rows, nwords), dtype=np.uint64)
         pool[nwords] = buffer
-    return buffer
+    return buffer[:rows]
+
+
+def _split(literals: Sequence[Tuple[int, bool]]) -> Literals:
+    """``(plane, positive)`` pairs -> (positive rows, negated rows)."""
+    return (
+        tuple(i for i, positive in literals if positive),
+        tuple(i for i, positive in literals if not positive),
+    )
+
+
+def _term_words(
+    matrix: Union[np.ndarray, Sequence[np.ndarray]],
+    literals: Literals,
+    out: np.ndarray,
+    spare: np.ndarray,
+) -> np.ndarray:
+    """``AND(pos) & ~OR(neg)`` over matrix rows, into ``out``.
+
+    A lone positive literal is returned as the matrix row itself (no
+    copy).  ``spare`` holds the OR of the negated rows.
+    """
+    pos, neg = literals
+    if not neg:
+        if len(pos) == 1:
+            return matrix[pos[0]]
+        np.bitwise_and(matrix[pos[0]], matrix[pos[1]], out=out)
+        for row in pos[2:]:
+            np.bitwise_and(out, matrix[row], out=out)
+        return out
+    nor = spare if pos else out
+    if len(neg) == 1:
+        np.invert(matrix[neg[0]], out=nor)
+    else:
+        np.bitwise_or(matrix[neg[0]], matrix[neg[1]], out=nor)
+        for row in neg[2:]:
+            np.bitwise_or(nor, matrix[row], out=nor)
+        np.invert(nor, out=nor)
+    if pos:
+        np.bitwise_and(matrix[pos[0]], nor, out=out)
+        for row in pos[1:]:
+            np.bitwise_and(out, matrix[row], out=out)
+    return out
+
+
+def _term_runs(
+    planes: CompressedPlaneSet, literals: Literals
+) -> WordAlignedBitmap:
+    """The run-strategy twin of :func:`_term_words`; stops reading a
+    term's literals once its accumulator is an all-zero fill."""
+    pos, neg = literals
+    acc: Optional[WordAlignedBitmap] = None
+    for row in pos:
+        plane = planes.plane(row)
+        acc = plane if acc is None else acc & plane
+        if acc.is_zero():
+            return acc
+    if neg:
+        nor = planes.plane(neg[0])
+        for row in neg[1:]:
+            nor = nor | planes.plane(row)
+        acc = ~nor if acc is None else acc & ~nor
+    assert acc is not None
+    return acc
 
 
 class CompiledKernel:
     """A reduced retrieval function compiled to a word-level plan.
 
-    The plan is computed once (row indices into the plane matrix,
-    factored common literals, gather index arrays) and is immutable
-    afterwards, so a single kernel may be shared freely across threads
-    and across partitions.
+    The plan is computed once (plane rows and signs per term, factored
+    common literals, gather index arrays) and is immutable afterwards,
+    so a single kernel may be shared freely across threads and across
+    partitions.
     """
 
     __slots__ = (
         "function",
         "_constant",
         "_access_order",
-        "_common_rows",
-        "_term_rows",
+        "_common",
+        "_terms",
+        "_negated",
+        "_table_terms",
+        "_loop_table",
         "_flat",
         "_bounds",
     )
 
     def __init__(self, function: ReducedFunction) -> None:
         self.function = function
-        width = function.width
 
         # Constant folding — mirrors evaluate_dnf's early exits, which
         # return without touching any vector.
-        self._constant: Optional[bool]
+        self._constant: Optional[bool] = None
         if function.is_false:
             self._constant = False
         elif any(term.is_constant_true() for term in function.terms):
             self._constant = True
-        else:
-            self._constant = None
-
-        if self._constant is not None:
-            self._access_order: Tuple[int, ...] = ()
-            self._common_rows: Tuple[int, ...] = ()
-            self._term_rows: Tuple[Tuple[int, ...], ...] = ()
-            self._flat = np.empty(0, dtype=np.intp)
-            self._bounds = np.empty(0, dtype=np.intp)
-            return
+        terms = function.terms if self._constant is None else ()
 
         # The exact fetch order evaluate_dnf performs: every term's
         # cared variables, ascending, term by term.  Replayed verbatim
         # into the caller's AccessCounter for c_e parity.
         self._access_order = tuple(
-            i for term in function.terms for i in term.variables()
+            i for term in terms for i in term.variables()
         )
 
-        # One (row, ...) literal tuple per term.  Row i is plane B_i,
-        # row width + i is its negation (PlaneSet layout).
-        literal_rows: List[Tuple[int, ...]] = []
-        for term in function.terms:
-            rows = tuple(
-                i if (term.bits >> i) & 1 else width + i
-                for i in term.variables()
-            )
-            literal_rows.append(rows)
+        # One (plane, positive) literal tuple per term.
+        literal_sets = [
+            tuple((i, bool((term.bits >> i) & 1)) for i in term.variables())
+            for term in terms
+        ]
 
         # Common-literal factoring: a literal present in every term is
         # AND-ed into the result once, after the OR over the residues.
-        common = set(literal_rows[0])
-        for rows in literal_rows[1:]:
-            common &= set(rows)
-        if len(literal_rows) == 1:
-            common = set(literal_rows[0])
-        self._common_rows = tuple(sorted(common))
+        common = set.intersection(*map(set, literal_sets or [()]))
+        self._common = _split(sorted(common))
         residues = [
-            tuple(r for r in rows if r not in common)
-            for rows in literal_rows
+            [lit for lit in literals if lit not in common]
+            for literals in literal_sets
         ]
-        # An empty residue means that term *is* the common conjunction,
-        # so the OR over residues is constant true: result == common.
-        if any(not rows for rows in residues):
-            self._term_rows = ()
-        else:
-            self._term_rows = tuple(residues)
+        # An empty residue means that term *is* the common conjunction
+        # (a single term always is), so the OR over residues is
+        # constant true and the result is the common term alone.
+        self._terms: Tuple[Literals, ...] = ()
+        if len(residues) > 1 and all(residues):
+            self._terms = tuple(_split(r) for r in residues)
 
-        # Gather-strategy plan: all residue literal rows flattened plus
-        # the start offset of each term, feeding bitwise_and.reduceat.
-        flat = [r for rows in self._term_rows for r in rows]
+        # The residue terms over a row table: the matrix rows, then the
+        # complement of each negated plane at row ``width + j``, built
+        # per evaluation, so every term is a plain AND chain.
+        negated = sorted({i for _, neg in self._terms for i in neg})
+        slot = {i: function.width + j for j, i in enumerate(negated)}
+        self._negated = np.asarray(negated, dtype=np.intp)
+        self._table_terms = tuple(
+            (pos + tuple(slot[i] for i in neg), ())
+            for pos, neg in self._terms
+        )
+        # The loop strategy uses the table only when more terms carry
+        # a negated literal than there are negated planes: only then
+        # does one invert per plane cost fewer passes than De Morgan's
+        # one invert per term (benchmarks/bench_kernel_negation.py
+        # times both paths on each side of this rule).
+        self._loop_table = len(negated) < sum(
+            1 for _, neg in self._terms if neg
+        )
+
+        # Gather-strategy plan: every residue literal's table row
+        # flattened plus the start offset of each term, feeding
+        # bitwise_and.reduceat.
+        flat: List[int] = []
         bounds: List[int] = []
-        offset = 0
-        for rows in self._term_rows:
-            bounds.append(offset)
-            offset += len(rows)
+        for rows, _ in self._table_terms:
+            bounds.append(len(flat))
+            flat.extend(rows)
         self._flat = np.asarray(flat, dtype=np.intp)
         self._bounds = np.asarray(bounds, dtype=np.intp)
 
@@ -203,8 +278,8 @@ class CompiledKernel:
         equal what :func:`~repro.boolean.evaluator.evaluate_dnf` would
         have recorded for the same function.
         """
-        for index in self._access_order:
-            counter.record(index)
+        counter.touched.update(self._access_order)
+        counter.reads += len(self._access_order)
 
     @property
     def is_constant(self) -> bool:
@@ -218,10 +293,10 @@ class CompiledKernel:
     ) -> BitVector:
         """Evaluate against a plane snapshot, returning a fresh vector.
 
-        Accepts either a packed :class:`PlaneSet` or a
+        Accepts a packed :class:`PlaneSet`, a mapped one or a
         :class:`~repro.kernels.runs.CompressedPlaneSet`; the same plan
-        (constant fold, factored commons, access order) drives both,
-        so results and ``c_e`` accounting are bit-identical.
+        (constant fold, factored commons, access order) drives all
+        three, so results and ``c_e`` accounting are bit-identical.
         """
         if planes.width != self.function.width:
             raise InvalidArgumentError(
@@ -237,55 +312,46 @@ class CompiledKernel:
         if self._constant is True:
             return BitVector.ones(nbits)
 
+        nwords = planes.nwords
+        if nwords == 0:
+            return BitVector(nbits)
         if isinstance(planes, CompressedPlaneSet):
             return self._evaluate_runs(planes)
 
         matrix = planes.matrix
-        nwords = planes.nwords
-        if nwords == 0:
-            return BitVector(nbits)
-
-        if self._term_rows and len(self._term_rows) >= 2 and (
-            nwords <= GATHER_MAX_WORDS
-        ):
+        scratch = _scratch(nwords, 2 + self._loop_table * len(self._negated))
+        if len(self._terms) >= 2 and nwords <= GATHER_MAX_WORDS:
             words = self._evaluate_gather(matrix)
         else:
-            words = self._evaluate_loop(matrix, nwords)
+            words = self._evaluate_loop(matrix, scratch)
+        if self._terms and any(self._common):
+            common = _term_words(matrix, self._common, scratch[0], scratch[1])
+            np.bitwise_and(words, common, out=words)
 
+        # Complemented rows set the bits past nbits: mask them once.
         words[-1] &= tail_mask(nbits)
         return BitVector._from_words(words, nbits)
 
     # ------------------------------------------------------------------
     def _evaluate_loop(
-        self, matrix: np.ndarray, nwords: int
+        self, matrix: np.ndarray, scratch: np.ndarray
     ) -> np.ndarray:
-        """Per-term loop: one scratch buffer, in-place AND/OR only."""
-        result = np.empty(nwords, dtype=np.uint64)
-        scratch = _scratch(nwords)
-
-        if not self._term_rows:
-            # All literals were common: the OR over residues is true.
-            result[:] = _FULL_WORD
-        else:
-            first = True
-            for rows in self._term_rows:
-                if len(rows) == 1:
-                    term_words = matrix[rows[0]]
-                else:
-                    np.bitwise_and(
-                        matrix[rows[0]], matrix[rows[1]], out=scratch
-                    )
-                    for row in rows[2:]:
-                        np.bitwise_and(scratch, matrix[row], out=scratch)
-                    term_words = scratch
-                if first:
-                    result[:] = term_words
-                    first = False
-                else:
-                    np.bitwise_or(result, term_words, out=result)
-
-        for row in self._common_rows:
-            np.bitwise_and(result, matrix[row], out=result)
+        """Per-term loop: scratch buffers, in-place AND/OR only."""
+        result = np.empty_like(scratch[0])
+        # All literals common: the result is their term alone.
+        terms = self._terms or (self._common,)
+        if self._loop_table:
+            complements = scratch[2:]
+            for j, i in enumerate(self._negated):
+                np.invert(matrix[i], out=complements[j])
+            matrix = [*matrix, *complements]
+            terms = self._table_terms
+        words = _term_words(matrix, terms[0], result, scratch[1])
+        if words is not result:
+            result[:] = words
+        for literals in terms[1:]:
+            words = _term_words(matrix, literals, scratch[0], scratch[1])
+            np.bitwise_or(result, words, out=result)
         return result
 
     def _evaluate_runs(self, planes: CompressedPlaneSet) -> BitVector:
@@ -298,41 +364,27 @@ class CompiledKernel:
         (:mod:`repro.bitmap.wah`).  The result is materialised — and
         its tail masked — exactly once at the end.
         """
-        nbits = planes.nbits
-        if planes.nwords == 0:
-            return BitVector(nbits)
         acc: Optional[WordAlignedBitmap] = None
-        if self._term_rows:
-            for rows in self._term_rows:
-                term_acc = planes.plane(rows[0])
-                for row in rows[1:]:
-                    term_acc = term_acc & planes.plane(row)
-                    if term_acc.is_zero():
-                        break
-                acc = term_acc if acc is None else acc | term_acc
-                if acc.is_ones_words():
-                    break
-        for row in self._common_rows:
-            plane = planes.plane(row)
-            acc = plane if acc is None else acc & plane
-            if acc.is_zero():
+        for literals in self._terms:
+            term = _term_runs(planes, literals)
+            acc = term if acc is None else acc | term
+            if acc.is_ones_words():
                 break
-        if acc is None:
-            # Unreachable in practice: residues constant-true with no
-            # common literals folds to a constant earlier.  Guarded for
-            # plan-shape safety.
-            return BitVector.ones(nbits)
+        if any(self._common) and (acc is None or not acc.is_zero()):
+            common = _term_runs(planes, self._common)
+            acc = common if acc is None else acc & common
+        assert acc is not None
         words = acc.to_words()
-        words[-1] &= tail_mask(nbits)
-        return BitVector._from_words(words, nbits)
+        words[-1] &= tail_mask(planes.nbits)
+        return BitVector._from_words(words, planes.nbits)
 
     def _evaluate_gather(self, matrix: np.ndarray) -> np.ndarray:
-        """Gather strategy: three numpy calls for the whole DNF."""
+        """Gather strategy: a handful of numpy calls for the whole DNF."""
+        if len(self._negated):
+            matrix = np.concatenate([matrix, ~matrix[self._negated]])
         gathered = matrix[self._flat]
         terms = np.bitwise_and.reduceat(gathered, self._bounds, axis=0)
         result: np.ndarray = np.bitwise_or.reduce(terms, axis=0)
-        for row in self._common_rows:
-            np.bitwise_and(result, matrix[row], out=result)
         return result
 
     def __repr__(self) -> str:
@@ -341,7 +393,7 @@ class CompiledKernel:
         return (
             f"CompiledKernel(terms={len(self.function.terms)}, "
             f"width={self.function.width}, "
-            f"common={len(self._common_rows)})"
+            f"common={sum(map(len, self._common))})"
         )
 
 

@@ -1,9 +1,9 @@
 """Memory-mapped plane snapshots for out-of-core kernel evaluation.
 
 A :class:`MappedPlaneSet` is the on-disk counterpart of
-:class:`~repro.kernels.planes.PlaneSet`: the same ``(2k, nwords)``
-uint64 matrix (planes then pre-materialised negations), but backed by
-``np.memmap`` over a CRC-headered plane file instead of process RAM.
+:class:`~repro.kernels.planes.PlaneSet`: the same ``(k, nwords)``
+uint64 matrix, one row per plane, but backed by ``np.memmap`` over a
+CRC-headered plane file instead of process RAM.
 :meth:`repro.kernels.compiler.CompiledKernel.evaluate` accepts either —
 evaluation never writes into the plane matrix, so results, rows and
 ``c_e`` accounting are bit-identical while the OS pages plane words in
@@ -13,13 +13,18 @@ entirely (``docs/out_of_core.md``) and still serve queries.
 File layout (little-endian)::
 
     offset 0      magic     8s   b"EBIPLANE"
-           8      version   u32  1
-           12     width     u32  k (planes per polarity)
+           8      version   u32  2
+           12     width     u32  k (plane rows)
            16     nbits     u64  logical bit length
            24     nwords    u64  words per plane row
            32     payload_crc u32  CRC32 of the matrix bytes
            36     header_crc  u32  CRC32 of bytes [0, 36)
-    offset 4096   matrix    2*width*nwords little-endian u64 words
+    offset 4096   matrix    width*nwords little-endian u64 words
+
+Version 1 files stored each plane's complement after the ``k`` planes
+(``2k`` rows); they are refused at open with
+:class:`~repro.errors.CorruptIndexError` — plane files are spill
+artefacts, rewritten from the index on the next spill.
 
 The matrix starts at a :data:`~repro.storage.page.PAGE_SIZE_DEFAULT`
 boundary so plane words never share an OS page with the header and the
@@ -56,15 +61,15 @@ from typing import Union
 
 import numpy as np
 
-from repro.errors import ChecksumError, CorruptIndexError, InvalidArgumentError
+from repro.errors import ChecksumError, CorruptIndexError
 from repro.kernels.planes import PlaneSet
 from repro.storage.page import PAGE_SIZE_DEFAULT
 
 #: Plane-file magic; distinguishes plane files from ``.ebi`` payloads.
 PLANE_MAGIC = b"EBIPLANE"
 
-#: On-disk format version.
-PLANE_FORMAT_VERSION = 1
+#: On-disk format version (2: ``k`` rows, no stored complements).
+PLANE_FORMAT_VERSION = 2
 
 #: Fixed header fields: magic, version, width, nbits, nwords, payload CRC.
 _HEADER = struct.Struct("<8sIIQQI")
@@ -113,10 +118,9 @@ class MappedPlaneSet:
 
     Duck-types the :class:`~repro.kernels.planes.PlaneSet` surface the
     kernels consume (``matrix``/``width``/``nbits``/``nwords``/
-    ``row``/``nbytes``), with the matrix opened read-only — kernels
-    combine plane rows into fresh result arrays, so nothing ever
-    writes through the map.  Like ``PlaneSet``, negated rows carry
-    garbage past ``nbits``; the kernel masks the final result once.
+    ``nbytes``), with the matrix opened read-only — kernels combine
+    plane rows into fresh result arrays, so nothing ever writes
+    through the map.
     """
 
     __slots__ = ("matrix", "width", "nbits", "nwords", "path")
@@ -164,7 +168,7 @@ class MappedPlaneSet:
             raise CorruptIndexError(
                 f"plane file {path!r}: unsupported version {version}"
             )
-        expected = PLANE_DATA_OFFSET + 2 * width * nwords * 8
+        expected = PLANE_DATA_OFFSET + width * nwords * 8
         actual = os.path.getsize(path)
         if actual < expected:
             raise CorruptIndexError(
@@ -175,22 +179,14 @@ class MappedPlaneSet:
             dtype="<u8",
             mode="r",
             offset=PLANE_DATA_OFFSET,
-            shape=(2 * width, nwords),
+            shape=(width, nwords),
         )
         return cls(matrix, width, int(nbits), path)
-
-    def row(self, index: int, positive: bool) -> int:
-        """Matrix row holding plane ``index`` (or its negation)."""
-        if not 0 <= index < self.width:
-            raise InvalidArgumentError(
-                f"plane {index} out of range for width {self.width}"
-            )
-        return index if positive else index + self.width
 
     def nbytes(self) -> int:
         """Mapped matrix bytes (what a dense snapshot would occupy in
         RAM; the resident subset is whatever the OS has paged in)."""
-        return 2 * self.width * self.nwords * 8
+        return self.width * self.nwords * 8
 
     def verify(self) -> None:
         """Full payload CRC check (sequential read of the whole file).
@@ -204,7 +200,7 @@ class MappedPlaneSet:
             )
             handle.seek(PLANE_DATA_OFFSET)
             measured = 0
-            remaining = 2 * width * nwords * 8
+            remaining = width * nwords * 8
             while remaining:
                 chunk = handle.read(min(remaining, 1 << 20))
                 if not chunk:
@@ -225,18 +221,17 @@ class MappedPlaneSet:
         not call per query (EBI108 flags full materialisation of
         mapped planes inside loops).
         """
-        dense = PlaneSet.__new__(PlaneSet)
-        dense.matrix = np.array(self.matrix, dtype=np.uint64, copy=True)
-        dense.width = self.width
-        dense.nbits = self.nbits
-        dense.nwords = self.nwords
-        return dense
+        return PlaneSet(
+            np.array(self.matrix, dtype=np.uint64, copy=True),
+            self.width,
+            self.nbits,
+        )
 
     def close(self) -> None:
         """Release the underlying map (drops the mmap reference; the
         OS unmaps once no array views remain)."""
         mm = getattr(self.matrix, "_mmap", None)
-        self.matrix = np.empty((2 * self.width, 0), dtype=np.uint64)
+        self.matrix = np.empty((self.width, 0), dtype=np.uint64)
         if mm is not None:
             try:
                 mm.close()

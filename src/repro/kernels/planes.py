@@ -1,15 +1,14 @@
 """Packed plane matrices consumed by compiled retrieval kernels.
 
 A :class:`PlaneSet` lays the ``k`` bit-plane vectors of an encoded
-bitmap index (and their negations) out as one contiguous
-``(2k, nwords)`` ``uint64`` matrix: row ``i`` holds plane ``B_i``'s
-words, row ``k + i`` holds ``~B_i``.  Pre-materialising the negations
-lets a kernel evaluate any literal — plain or negated — as a plain row
-read, with no per-literal allocation or invert pass at query time.
+bitmap index out as one contiguous ``(k, nwords)`` ``uint64`` matrix:
+row ``i`` holds plane ``B_i``'s words.  It is the only copy of an
+index's folded rows — the ``k`` vectors of ``n`` bits the paper's
+Section 3 space model charges.  Negations are not stored: a kernel
+evaluates a negated literal by De Morgan, ANDing a term's positive
+rows with the complement of the OR of its negated rows.
 
-Negated rows deliberately keep garbage in the bits beyond the logical
-length (the tail of the last word): masking happens once on the final
-result, not per row.
+Bits beyond the logical length (the tail of the last word) are zero.
 """
 
 from __future__ import annotations
@@ -20,16 +19,17 @@ import numpy as np
 
 from repro.bitmap.bitvector import BitVector
 from repro.bitmap.ops import packed_length
-from repro.errors import InvalidArgumentError, LengthMismatchError
+from repro.errors import LengthMismatchError
 
 
 class PlaneSet:
     """The bit planes of one index snapshot, as a dense word matrix.
 
-    Instances are immutable snapshots: an index rebuilds its plane set
-    whenever the underlying data changes (see the ``_data_version``
-    tracking in :class:`~repro.index.encoded_bitmap.EncodedBitmapIndex`)
-    rather than mutating one in place.
+    Immutable once a reader has taken it: an index writes a rewritten
+    folded row into its current plane set only while no lookup holds
+    it, and otherwise installs a new one (see ``_take_planes`` in
+    :class:`~repro.index.encoded_bitmap.EncodedBitmapIndex`), so it
+    never writes into one a lookup may be reading.
     """
 
     __slots__ = ("matrix", "width", "nbits", "nwords")
@@ -44,32 +44,20 @@ class PlaneSet:
     def from_vectors(
         cls, vectors: Sequence[BitVector], nbits: int
     ) -> "PlaneSet":
-        """Snapshot ``k`` plane vectors into a ``(2k, nwords)`` matrix.
+        """Copy ``k`` plane vectors into a ``(k, nwords)`` matrix.
 
-        ``vectors[i]`` becomes row ``i``; its negation becomes row
-        ``k + i``.  Every vector must have length ``nbits``.
+        ``vectors[i]`` becomes row ``i``.  Every vector must have
+        length ``nbits``.
         """
-        width = len(vectors)
-        nwords = packed_length(nbits)
-        matrix = np.empty((2 * width, nwords), dtype=np.uint64)
+        matrix = np.empty((len(vectors), packed_length(nbits)), np.uint64)
         for i, vector in enumerate(vectors):
             if len(vector) != nbits:
                 raise LengthMismatchError(nbits, len(vector))
             matrix[i] = vector.words
-        if width:
-            np.bitwise_not(matrix[:width], out=matrix[width:])
-        return cls(matrix, width, nbits)
-
-    def row(self, index: int, positive: bool) -> int:
-        """Matrix row holding plane ``index`` (or its negation)."""
-        if not 0 <= index < self.width:
-            raise InvalidArgumentError(
-                f"plane {index} out of range for width {self.width}"
-            )
-        return index if positive else index + self.width
+        return cls(matrix, len(vectors), nbits)
 
     def nbytes(self) -> int:
-        """Bytes held by the matrix (planes plus negations)."""
+        """Bytes held by the matrix: ``k * nwords * 8``."""
         return int(self.matrix.nbytes)
 
     def __repr__(self) -> str:

@@ -2,27 +2,28 @@
 
 A :class:`CompressedPlaneSet` is the word-aligned-run counterpart of
 :class:`~repro.kernels.planes.PlaneSet`: the ``k`` bit planes of an
-encoded bitmap index and their negations, each stored as a
+encoded bitmap index, each stored as a
 :class:`~repro.bitmap.wah.WordAlignedBitmap` instead of a dense matrix
 row.  :meth:`repro.kernels.compiler.CompiledKernel.evaluate` accepts
 either snapshot type and produces bit-identical results with identical
 ``c_e`` accounting; the compressed path combines planes
 segment-at-a-time — fill runs short-circuit in O(1) per segment and
-literal blocks fall back to vectorised word operations.
+literal blocks fall back to vectorised word operations.  Negated
+literals are evaluated by De Morgan, as on the packed matrix: a
+complement keeps the segmentation, so it costs one pass over the
+segments of the OR of a term's negated planes.
 
-The row-index convention matches ``PlaneSet`` exactly: ``row(i, True)``
-is plane ``B_i`` and ``row(i, False)`` (== ``width + i``) is ``~B_i``.
-Negations are pre-materialised at snapshot time (cheap: flip fills,
-complement literal words) and, as in the packed case, carry garbage in
-the tail bits of the last word; masking happens once on the final
-result.
+An index keeps one copy of its bits (a ``PlaneSet``), so a compressed
+snapshot is built on demand from
+:meth:`~repro.index.encoded_bitmap.EncodedBitmapIndex.vector` — the
+compression bench and demo do exactly that.
 
 >>> from repro.bitmap.bitvector import BitVector
 >>> vector = BitVector.from_bools([True, False, True])
 >>> planes = CompressedPlaneSet.from_vectors([vector], 3)
 >>> planes.width, planes.nbits
 (1, 3)
->>> planes.plane(planes.row(0, True)).to_bitvector().to_bitstring()
+>>> planes.plane(0).to_bitvector().to_bitstring()
 '101'
 """
 
@@ -32,15 +33,14 @@ from typing import Sequence, Tuple
 
 from repro.bitmap.bitvector import BitVector
 from repro.bitmap.wah import WordAlignedBitmap
-from repro.errors import InvalidArgumentError, LengthMismatchError
+from repro.errors import LengthMismatchError
 
 
 class CompressedPlaneSet:
     """Bit planes of one index snapshot, as word-aligned run bitmaps.
 
-    Immutable, like ``PlaneSet``: an index rebuilds its snapshot when
-    the underlying data changes (the ``_data_version`` protocol) rather
-    than mutating one in place.
+    Immutable, like ``PlaneSet``: build a new snapshot when the
+    underlying data changes rather than mutating one in place.
     """
 
     __slots__ = ("planes", "width", "nbits", "nwords")
@@ -48,15 +48,10 @@ class CompressedPlaneSet:
     def __init__(
         self,
         planes: Tuple[WordAlignedBitmap, ...],
-        width: int,
         nbits: int,
     ) -> None:
-        if len(planes) != 2 * width:
-            raise InvalidArgumentError(
-                f"expected {2 * width} compressed planes, got {len(planes)}"
-            )
         self.planes = planes
-        self.width = width
+        self.width = len(planes)
         self.nbits = nbits
         self.nwords = planes[0].nwords if planes else 0
 
@@ -64,41 +59,28 @@ class CompressedPlaneSet:
     def from_vectors(
         cls, vectors: Sequence[BitVector], nbits: int
     ) -> "CompressedPlaneSet":
-        """Snapshot ``k`` plane vectors plus their negations.
-
-        ``vectors[i]`` becomes compressed plane ``i``; its complement
-        becomes plane ``k + i``.  Every vector must have length
-        ``nbits``.
-        """
-        width = len(vectors)
-        positives: list[WordAlignedBitmap] = []
+        """Compress ``k`` plane vectors; ``vectors[i]`` becomes plane
+        ``i``.  Every vector must have length ``nbits``."""
         for vector in vectors:
             if len(vector) != nbits:
                 raise LengthMismatchError(nbits, len(vector))
-            positives.append(WordAlignedBitmap.from_bitvector(vector))
-        negatives = [~plane for plane in positives]
-        return cls(tuple(positives + negatives), width, nbits)
+        return cls(
+            tuple(WordAlignedBitmap.from_bitvector(v) for v in vectors),
+            nbits,
+        )
 
-    def row(self, index: int, positive: bool) -> int:
-        """Plane-tuple row holding plane ``index`` (or its negation)."""
-        if not 0 <= index < self.width:
-            raise InvalidArgumentError(
-                f"plane {index} out of range for width {self.width}"
-            )
-        return index if positive else index + self.width
-
-    def plane(self, row: int) -> WordAlignedBitmap:
-        """The compressed plane at a row index from :meth:`row`."""
-        return self.planes[row]
+    def plane(self, index: int) -> WordAlignedBitmap:
+        """Compressed plane ``B_index``."""
+        return self.planes[index]
 
     def nbytes(self) -> int:
-        """Serialized bytes across planes and negations."""
+        """Serialized bytes across the ``k`` planes."""
         return sum(plane.nbytes() for plane in self.planes)
 
     def packed_nbytes(self) -> int:
         """What a dense :class:`~repro.kernels.planes.PlaneSet` of the
         same shape would occupy — the compression bench's baseline."""
-        return 2 * self.width * self.nwords * 8
+        return self.width * self.nwords * 8
 
     def __repr__(self) -> str:
         return (

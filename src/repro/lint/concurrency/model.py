@@ -237,8 +237,7 @@ class CallSite:
 class VersionAccess:
     """A read or write of an epoch counter.
 
-    Covers ``self._data_version``/``_planes_version`` and the delta
-    tier's ``self._delta_seq`` (the second half of an index epoch).
+    Covers ``self._data_version`` and the delta tier's ``self._delta_seq`` (the second half of an index epoch).
     """
 
     node: ast.AST
@@ -580,7 +579,7 @@ class _MethodWalker:
         self.info.writes.append(
             AttrWrite(attr=attr, node=node, held_locks=held, kind=kind)
         )
-        if attr in ("_data_version", "_planes_version", "_delta_seq"):
+        if attr in ("_data_version", "_delta_seq"):
             # Store targets never pass through ``_scan_expr`` (it only
             # walks value expressions), so record the version write
             # here for the cache-under-lock check.
@@ -618,9 +617,7 @@ class _MethodWalker:
     def _record_version_access(
         self, node: ast.Attribute, held: FrozenSet[LockId]
     ) -> None:
-        if node.attr not in (
-            "_data_version", "_planes_version", "_delta_seq"
-        ):
+        if node.attr not in ("_data_version", "_delta_seq"):
             return
         if not _is_self(node.value):
             return

@@ -51,7 +51,7 @@ from repro.lint.core import (
 _COUNTED_ACCESSORS = frozenset({"record", "record_accesses", "merge"})
 
 #: Subscripted containers treated as raw plane/bitmap storage.
-_RAW_PLANE_NAMES = frozenset({"matrix", "_vectors", "planes"})
+_RAW_PLANE_NAMES = frozenset({"matrix", "planes"})
 
 
 def _lock_label(lock: LockId) -> str:

@@ -5,7 +5,7 @@ The out-of-core tier (``docs/out_of_core.md``).  A
 partitioned index's children and keeps their combined RAM charge under
 a configurable ``memory_budget_bytes``:
 
-* **spill** — a cold partition's packed snapshot is written to a
+* **spill** — a cold partition's plane matrix is written to a
   CRC-headered plane file (:func:`repro.kernels.mapped.write_plane_file`)
   and swapped for a read-only ``np.memmap`` view
   (:meth:`~repro.index.encoded_bitmap.EncodedBitmapIndex.spill_planes`),
@@ -67,7 +67,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvalidArgumentError
 from repro.index.base import Index
-from repro.kernels import MappedPlaneSet, PlaneSet
+from repro.kernels import MappedPlaneSet
 from repro.kernels.mapped import PLANE_DATA_OFFSET
 from repro.storage.page import PAGE_SIZE_DEFAULT
 from repro.storage.stats import IOStatistics
@@ -152,15 +152,11 @@ class ResidencyManager:
         """Track ``index`` as a child of partition ``partition_id``.
 
         May be called several times per partition (one call per
-        indexed column).  Only packed-format encoded bitmap indexes
-        are spillable; anything else (compressed planes, foreign index
-        kinds) is tracked as pinned — charged against the budget but
-        never evicted.
+        indexed column).  Only encoded bitmap indexes are spillable;
+        foreign index kinds are tracked as pinned — charged against
+        the budget but never evicted.
         """
-        pinned = (
-            not hasattr(index, "spill_planes")
-            or getattr(index, "plane_format", "packed") != "packed"
-        )
+        pinned = not hasattr(index, "spill_planes")
         with self._lock:
             seq = sum(
                 1 for key in self._entries if key[0] == partition_id
@@ -266,12 +262,6 @@ class ResidencyManager:
         for entry in entries:
             moved = self._spill_entry(entry) or moved
         return moved
-
-    def spill_all(self) -> int:
-        """Spill every spillable child; returns how many moved."""
-        with self._lock:
-            ids = sorted({key[0] for key in self._entries})
-        return sum(1 for pid in ids if self.spill(pid))
 
     def enforce(self, exclude: Optional[int] = None) -> None:
         """Spill LRU children until resident bytes fit the budget.
@@ -436,9 +426,6 @@ class ResidencyManager:
             return  # raced a concurrent spill; nothing to charge
         nbytes = int(snapshot.nbytes())
         with self._lock:
-            entry.pinned = entry.pinned or not isinstance(
-                snapshot, PlaneSet
-            )
             self._resident += nbytes - entry.charged
             entry.charged = nbytes
             entry.plane_bytes = max(entry.plane_bytes, nbytes)

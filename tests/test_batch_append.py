@@ -69,8 +69,8 @@ def _make(void_mode, null_mode, threshold):
 
 
 def _assert_suffix_invariant(index):
-    if index.delta_rows():
-        assert index._delta_start + index.delta_rows() == index._vector_rows()
+    # The delta is the row suffix after the folded planes' rows.
+    assert index.planes().nbits + index.delta_rows() == len(index.table)
 
 
 # ---------------------------------------------------------------------------

@@ -141,15 +141,22 @@ def test_orderings_preserve_selected_rows_and_c_e(data):
         table = Table.from_columns(f"t_{ordering}", {"v": list(values)})
         perm = row_permutation(table, ["v"], ordering)
         table.apply_permutation(perm)
-        for plane_format in ("packed", "compressed"):
-            index = EncodedBitmapIndex(
-                table, "v", plane_format=plane_format
-            )
-            result = index.lookup(predicate)
+        index = EncodedBitmapIndex(table, "v")
+        packed = index.lookup(predicate)
+        runs = CompressedPlaneSet.from_vectors(
+            [index.vector(i) for i in range(index.width)], n
+        )
+        counter = AccessCounter()
+        compressed = compile_function(
+            index.explain_predicate(predicate)
+        ).evaluate(runs, counter)
+        for result, cost in (
+            (packed, index.last_cost.vectors_accessed),
+            (compressed, counter.distinct_accesses),
+        ):
             original = sorted(
                 perm[row] for row in range(n) if result[row]
             )
-            cost = index.last_cost.vectors_accessed
             if reference_rows is None:
                 reference_rows, reference_cost = original, cost
             assert original == reference_rows
@@ -173,18 +180,22 @@ def test_run_kernel_exact_across_live_deltas(data):
         "hot", {"v": [rng.randrange(m) for _ in range(100)]}
     )
     packed_index = EncodedBitmapIndex(table, "v")
-    runs_index = EncodedBitmapIndex(
-        table, "v", plane_format="compressed"
-    )
     table.attach(packed_index)
-    table.attach(runs_index)
     for _ in range(appends):
         table.append({"v": rng.randrange(m)})
+    # Built from vector(i), which fills the delta rows from their codes.
+    runs = CompressedPlaneSet.from_vectors(
+        [packed_index.vector(i) for i in range(packed_index.width)],
+        len(table),
+    )
 
     for value in range(m):
         predicate = Equals("v", value)
-        got = runs_index.lookup(predicate)
-        got_cost = runs_index.last_cost.vectors_accessed
+        counter = AccessCounter()
+        got = compile_function(
+            packed_index.explain_predicate(predicate)
+        ).evaluate(runs, counter)
+        got_cost = counter.distinct_accesses
         want = packed_index.lookup(predicate)
         want_cost = packed_index.last_cost.vectors_accessed
         fresh = EncodedBitmapIndex(table, "v").lookup(predicate)

@@ -11,6 +11,7 @@ import pytest
 from repro.database import Database
 from repro.errors import CorruptIndexError, QueryTimeoutError, SchemaError
 from repro.index.encoded_bitmap import EncodedBitmapIndex
+from repro.kernels import PlaneSet
 from repro.query.executor import Executor
 from repro.query.options import QueryOptions
 from repro.query.predicates import Equals, InList, Range
@@ -344,7 +345,9 @@ class TestDegradedLoop:
         assert child is not None
         # Flip one bit in one bitmap vector: fsck must notice, repair
         # must rebuild it from the base column.
-        child._vectors[0][3] = not child._vectors[0][3]
+        matrix = np.array(child.planes().matrix)
+        matrix[0, 0] ^= np.uint64(1 << 3)
+        child._planes = PlaneSet(matrix, child.width, child.planes().nbits)
         reports = db.fsck()
         assert not reports["sales.product.p0"].ok
         reports = db.fsck(repair=True)

@@ -9,9 +9,9 @@ file-level ``repro fsck`` CLI.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.bitmap.bitvector import BitVector
 from repro.cli import main as cli_main
 from repro.errors import CorruptIndexError
 from repro.index import serialization
@@ -26,6 +26,7 @@ from repro.index.verify import (
     verify_index,
     verify_payload,
 )
+from repro.kernels import PlaneSet
 from repro.query.executor import Executor
 from repro.query.predicates import Equals, InList
 from repro.table.catalog import Catalog
@@ -39,8 +40,19 @@ def build_table(values=("a", "b", "c", "b", "a", "c", "d", "a")):
     return table
 
 
+def corrupt_planes(index: EncodedBitmapIndex, matrix, nbits=None) -> None:
+    """Install a damaged plane matrix behind the index's back (no
+    version bump, no cache drop: what bit rot looks like)."""
+    planes = index.planes()
+    index._planes = PlaneSet(
+        matrix, matrix.shape[0], planes.nbits if nbits is None else nbits
+    )
+
+
 def flip_bit(index: EncodedBitmapIndex, vector: int, row: int) -> None:
-    index._vectors[vector][row] = not index._vectors[vector][row]
+    matrix = np.array(index.planes().matrix)
+    matrix[vector, row // 64] ^= np.uint64(1 << (row % 64))
+    corrupt_planes(index, matrix)
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +100,8 @@ def test_fixture_tables_pass(abc_table, sales_table):
 def test_detects_mapping_inconsistency():
     table = build_table()
     index = EncodedBitmapIndex(table, "A")
-    index._vectors.pop()  # width no longer matches the vector count
+    # Drop a plane row: width no longer matches the vector count.
+    corrupt_planes(index, np.array(index.planes().matrix[:-1]))
     report = verify_index(index)
     assert INVARIANT_MAPPING in report.invariants_violated()
     assert index.degraded
@@ -97,7 +110,9 @@ def test_detects_mapping_inconsistency():
 def test_detects_wrong_length_vector():
     table = build_table()
     index = EncodedBitmapIndex(table, "A")
-    index._vectors[0] = BitVector(len(table) + 5)
+    # Lengthen the planes past the table's rows.
+    matrix = np.array(index.planes().matrix)
+    corrupt_planes(index, matrix, nbits=len(table) + 5)
     report = verify_index(index)
     assert INVARIANT_MAPPING in report.invariants_violated()
 
@@ -134,6 +149,24 @@ def test_detects_row_partition_violation():
     report = verify_index(index)
     assert INVARIANT_PARTITION in report.invariants_violated()
     assert index.degraded
+
+
+def test_detects_delta_code_drift():
+    table = build_table()
+    index = EncodedBitmapIndex(table, "A")
+    table.attach(index)
+    row = table.append({"A": "b"})
+    assert verify_index(index).ok
+    # The appended row's code in the delta tier now decodes to "a".
+    index._delta_codes[row - index.planes().nbits] = index.mapping.encode("a")
+    report = verify_index(index)
+    assert INVARIANT_PARTITION in report.invariants_violated()
+    assert any(
+        "1 row(s) store a code that decodes to the wrong value" in v.message
+        for v in report.violations
+    )
+    assert repair(index) == [0, 1]
+    assert verify_index(index).ok
 
 
 def test_detects_stale_reduction_cache():
@@ -180,14 +213,7 @@ def test_all_four_invariants_detectable():
 def test_repair_rebuilds_only_damaged_vectors():
     table = build_table()
     index = EncodedBitmapIndex(table, "A")
-    pristine = [
-        index.vector(i).copy() if hasattr(index.vector(i), "copy")
-        else index.vector(i)
-        for i in range(index.width)
-    ]
-    untouched = [
-        index._vectors[i] for i in range(index.width)
-    ]
+    pristine = [index.vector(i).copy() for i in range(index.width)]
     flip_bit(index, 1, 4)
     verify_index(index)
     assert index.degraded
@@ -195,17 +221,18 @@ def test_repair_rebuilds_only_damaged_vectors():
     assert repaired == [1]
     assert not index.degraded
     assert verify_index(index).ok
-    # Vectors that were never damaged are the same objects still.
-    for i in (0, 2):
-        assert index._vectors[i] is untouched[i]
+    # Every vector, damaged or not, holds its pristine bits again.
+    for i in range(index.width):
+        assert index.vector(i) == pristine[i]
 
 
 def test_repair_truncates_extra_vectors():
     table = build_table()
     index = EncodedBitmapIndex(table, "A")
-    index._vectors.append(BitVector(len(table)))
+    matrix = np.array(index.planes().matrix)
+    corrupt_planes(index, np.vstack([matrix, np.zeros_like(matrix[:1])]))
     repair(index)
-    assert len(index._vectors) == index.width
+    assert index.planes().width == index.width
     assert verify_index(index).ok
 
 
@@ -232,8 +259,6 @@ def test_repair_stops_serving_damaged_planes():
     index = EncodedBitmapIndex(table, "v")
     expected = list(range(0, 64, 4))
     flip_bit(index, 0, 0)
-    index.clear_caches()
-    index.planes()
     damaged = index.lookup(Equals("v", "a"))
     assert damaged.indices().tolist() != expected
     assert repair(index) == [0]

@@ -343,6 +343,22 @@ def test_removed_kernel_knobs_raise_type_error():
         db.explain("t", Equals("A", "a"), QueryOptions())
 
 
+@pytest.mark.parametrize(
+    "knob", [{"exact_reduction": False}, {"plane_format": "compressed"}]
+)
+def test_removed_index_knobs_raise_type_error(knob):
+    # Reduction is always exact and the plane matrix is the only copy;
+    # a knob save/load would silently drop is no knob at all.
+    from repro.database import Database
+
+    with pytest.raises(TypeError):
+        EncodedBitmapIndex(_table(["a", "b"]), "A", **knob)
+    db = Database()
+    db.create_table("t", {"A": ["a", "b", "a"]})
+    with pytest.raises(TypeError):
+        db.create_index("t", "A", **knob)
+
+
 def test_index_plane_snapshot_invalidated_on_writes():
     table = _table(["a", "b", "c", "a"])
     index = EncodedBitmapIndex(table, "A")
