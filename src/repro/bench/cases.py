@@ -587,9 +587,11 @@ def case_kernel_eval(
     one *cold* batch of distinct IN-list queries each way at
     ``workers=1`` — every per-index and process-wide cache cleared
     first.  Both sides reduce each predicate once per pass (the kernel
-    stack through its shared cache, the reference through a per-pass
-    dict), so the line measures the compiled kernels and the compile
-    cache against the tree walk, not the reduction.
+    stack once per batch in its shared plan, the reference through a
+    per-pass dict), so the line measures the compiled kernels against
+    the tree walk, not the reduction.  Two model lines count the
+    shared plan's derivations in one cold batch: one reduced function
+    and one compile per predicate for all the partitions.
 
     The eq-0 lines pin the correctness contract: the kernel stack must
     return the reference's rows with the reference's access
@@ -612,20 +614,19 @@ def case_kernel_eval(
         ReducedFunction,
         clear_reduction_cache,
         reduce_values,
-        reduction_cache_stats,
     )
     from repro.encoding.mapping import MappingTable
     from repro.index.encoded_bitmap import EncodedBitmapIndex
-    from repro.kernels import clear_compile_cache, compile_cache_stats
+    from repro.kernels import clear_compile_cache
     from repro.query.predicates import InList, Predicate
     from repro.shard.executor import ParallelExecutor
     from repro.shard.index import PartitionedIndex
     from repro.shard.partition import PartitionedTable
 
     values = [(i * 48271) % KERNEL_DOMAIN for i in range(n)]
-    # One mapping for every partition: identical codes mean identical
-    # cache keys, which is what unlocks cross-partition sharing (see
-    # repro.shard.executor's module docstring).
+    # One mapping for every partition: equal mappings let every
+    # partition join the batch's shared plan (see repro.shard.executor's
+    # module docstring).
     mapping = MappingTable.from_values(
         list(range(KERNEL_DOMAIN)), reserve_void_zero=True
     )
@@ -713,16 +714,24 @@ def case_kernel_eval(
         lambda: executor.execute_many(predicates, QueryOptions(workers=1))
     )
 
-    # One more cold batch, instrumented: the process-wide cache hit
-    # deltas show partitions actually sharing reductions and kernels.
+    # One more cold batch, instrumented: every reduced-function call
+    # is a per-index cache hit or miss, and every compile_function call
+    # a compile-cache hit or miss, whether or not the work is reused.
     clear_all()
-    red_hits_before = reduction_cache_stats()[0]
-    comp_hits_before = compile_cache_stats()[0]
     kernel_high = executor.execute_many(
         predicates, QueryOptions(workers=high)
     )
-    red_hits = reduction_cache_stats()[0] - red_hits_before
-    comp_hits = compile_cache_stats()[0] - comp_hits_before
+
+    def per_predicate(prefix: str) -> float:
+        calls = sum(
+            result.metrics.get(f"{prefix}{event}", 0)
+            for result in kernel_high
+            for event in ("hits", "misses")
+        )
+        return calls / len(predicates)
+
+    reduced_per_predicate = per_predicate("index.reduction_cache_")
+    compiled_per_predicate = per_predicate("kernels.compile_cache.")
     # Warm runs for the determinism lines (cache state no longer
     # changes, so only worker count varies between the two).
     kernel_low = executor.execute_many(predicates, QueryOptions(workers=low))
@@ -811,22 +820,22 @@ def case_kernel_eval(
             kind="identity",
         ),
         compare(
-            "cross-partition sharing: reduction-cache hits in one "
-            "cold batch",
-            red_hits,
-            KERNEL_QUERIES,
-            mode="ge",
-            unit="hits",
+            f"shared plan: reductions per predicate in one cold batch "
+            f"over {KERNEL_PARTITIONS} partitions",
+            reduced_per_predicate,
+            1,
+            mode="eq",
+            unit="reductions",
             tolerance=tolerance,
             kind="model",
         ),
         compare(
-            "cross-partition sharing: compile-cache hits in one "
-            "cold batch",
-            comp_hits,
-            KERNEL_QUERIES,
-            mode="ge",
-            unit="hits",
+            f"shared plan: compiles per predicate in one cold batch "
+            f"over {KERNEL_PARTITIONS} partitions",
+            compiled_per_predicate,
+            1,
+            mode="eq",
+            unit="compiles",
             tolerance=tolerance,
             kind="model",
         ),

@@ -11,6 +11,7 @@ for void so selections on existing tuples need no existence filter.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
@@ -42,6 +43,10 @@ VOID = _Sentinel("VOID")
 
 #: Artificial key for NULL attribute values.
 NULL = _Sentinel("NULL")
+
+#: Serial numbers telling mapping objects apart for as long as the
+#: process lives (an ``id()`` can be reused once an object is freed).
+_serials = itertools.count()
 
 
 def code_width(cardinality: int) -> int:
@@ -75,7 +80,14 @@ class MappingTable:
         #: tuple with the generation it was computed at, so a tuple
         #: computed while a mutation ran is never served afterwards.
         self._generation = 0
+        self._serial = next(_serials)
         self._dont_cares: Tuple[int, Tuple[int, ...]] = (-1, ())
+        self._fingerprint: Tuple[int, int] = (-1, 0)
+        self._snapshot: Tuple[int, Optional["MappingTable"]] = (-1, None)
+        #: The last :meth:`same_as` answer, keyed by the generation pair
+        #: it was computed at: ``((other serial, other generation, own
+        #: generation), equal)``.
+        self._same: Tuple[Tuple[int, int, int], bool] = ((-1, -1, -1), False)
         if reserve_void_zero:
             self.assign(VOID, 0)
 
@@ -215,6 +227,63 @@ class MappingTable:
             # recomputed, never served.
             self._dont_cares = (generation, codes)  # ebilint: disable=EBI301
         return codes
+
+    def fingerprint(self) -> int:
+        """A hash of the width and every ``(value, code)`` binding.
+
+        Cached per generation, so it moves on :meth:`assign`,
+        :meth:`add_value`, :meth:`grow_width` and :meth:`reassign_all`.
+        Equal mappings have equal fingerprints; the converse needs
+        ``==`` (:meth:`same_as`).
+        """
+        generation, value = self._fingerprint
+        if generation != self._generation:
+            generation = self._generation
+            value = hash(
+                (self._width, frozenset(self._value_to_code.items()))
+            )
+            # A memo, like ``_dont_cares``.
+            self._fingerprint = (generation, value)  # ebilint: disable=EBI301
+        return value
+
+    def snapshot(self) -> "MappingTable":
+        """An unchanging copy of the current bindings.
+
+        One copy per generation: while the mapping does not move,
+        every call returns the same object.  Callers that take it while
+        the mapping may be written hold the lock its writers hold.
+        """
+        generation, copy = self._snapshot
+        if copy is None or generation != self._generation:
+            generation = self._generation
+            copy = MappingTable(self._width, reserve_void_zero=False)
+            copy._value_to_code = dict(self._value_to_code)
+            copy._code_to_value = dict(self._code_to_value)
+            copy._generation = generation
+            copy._fingerprint = (generation, self.fingerprint())
+            # A memo, like ``_dont_cares``.
+            self._snapshot = (generation, copy)  # ebilint: disable=EBI301
+        return copy
+
+    def same_as(self, other: "MappingTable") -> bool:
+        """``self == other``, decided once per pair of generations.
+
+        Fingerprints filter: different ones answer ``False`` at once,
+        equal ones are confirmed with ``==``.  The answer is kept with
+        both generations (and ``other``'s serial), so it is served again
+        only while neither mapping has moved.  Callers hold the lock
+        that guards writes to either mapping, or pass one that is never
+        written (a :meth:`snapshot`).
+        """
+        if other is self:
+            return True
+        key = (other._serial, other._generation, self._generation)
+        memo, equal = self._same
+        if memo != key:
+            equal = self.fingerprint() == other.fingerprint() and self == other
+            # A memo, like ``_dont_cares``.
+            self._same = (key, equal)  # ebilint: disable=EBI301
+        return equal
 
     def unused_codes(self) -> List[int]:
         """Codes of the k-cube not assigned to any value (don't-cares)."""

@@ -125,11 +125,16 @@ class Index:
     # ------------------------------------------------------------------
     # public lookup API
     # ------------------------------------------------------------------
-    def lookup(self, predicate: Predicate) -> BitVector:
+    def lookup(
+        self, predicate: Predicate, shared: Optional[Any] = None
+    ) -> BitVector:
         """Evaluate a predicate into a row bit vector.
 
         Records the per-query cost in ``self.last_cost`` and folds it
-        into ``self.stats``.
+        into ``self.stats``.  ``shared`` is a leaf's retrieval function
+        derived once for several indexes (see
+        :class:`~repro.index.encoded_bitmap.SharedFunction`); kinds
+        that derive none ignore it.
 
         Concurrency: trace attributes and cumulative statistics are
         guarded by ``self._lock``; predicate evaluation itself runs
@@ -144,7 +149,10 @@ class Index:
             self.last_reduction = None
             self.last_cache_hit = None
         cost = LookupCost()
-        result = self._dispatch(predicate, cost)
+        if shared is None:
+            result = self._dispatch(predicate, cost)
+        else:
+            result = self._lookup_shared(predicate, cost, shared)
         # Snapshot discipline: when the calling batch pinned a row
         # watermark (repro.query.snapshot), clamp the result to it so
         # every predicate in the batch sees the same row universe even
@@ -205,6 +213,13 @@ class Index:
     def _lookup(self, predicate: Predicate, cost: LookupCost) -> BitVector:
         """Evaluate a leaf predicate on this index's column."""
         raise NotImplementedError
+
+    def _lookup_shared(
+        self, predicate: Predicate, cost: LookupCost, shared: Any
+    ) -> BitVector:
+        """Evaluate a leaf predicate with a shared retrieval function;
+        kinds that derive none evaluate it as usual."""
+        return self._dispatch(predicate, cost)
 
     def nbytes(self) -> int:
         """Index size in bytes (the paper's space measure)."""

@@ -15,6 +15,7 @@ is selectable for the ablation benchmark.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -100,6 +101,28 @@ def unpack_codes(
         bits = np.unpackbits(rows[i], count=nbits, bitorder="little")
         codes |= bits.astype(dtype, copy=False) << dtype.type(i)
     return codes
+
+
+@dataclass(frozen=True)
+class SharedFunction:
+    """A leaf's retrieval function, derived once for every index whose
+    mapping equals the one it was derived from.
+
+    The paper derives a selection's retrieval function from the mapping
+    table alone (Section 2), so indexes with equal mappings and equal
+    void/NULL modes need it once: :meth:`EncodedBitmapIndex.share_function`
+    derives it, :meth:`EncodedBitmapIndex.can_share` says whether an
+    index may evaluate it, and ``Index.lookup(predicate, shared=...)``
+    evaluates it over that index's own planes and delta.
+    """
+
+    #: The deriving index's mapping as it was (a :meth:`MappingTable.snapshot`).
+    mapping: MappingTable
+    void_mode: str
+    null_mode: str
+    #: ``None`` when the predicate selects no mapped value.
+    function: Optional[ReducedFunction]
+    kernel: Optional[CompiledKernel]
 
 
 class EncodedBitmapIndex(Index):
@@ -553,6 +576,84 @@ class EncodedBitmapIndex(Index):
             return ReducedFunction(terms=(), width=self.width)
         return self.reduced_function(known)
 
+    def share_function(
+        self, predicate: Predicate
+    ) -> Optional[SharedFunction]:
+        """Derive ``predicate``'s function once, for every index whose
+        mapping and modes equal this one's (:class:`SharedFunction`).
+
+        ``None`` when the lookup derives no function (``IsNull`` under
+        an explicit NULL vector) or when a subclass evaluates leaves
+        its own way.  The mapping snapshot is taken under the lock with
+        the data version, and the function is kept only if the version
+        has not moved since, so it is the snapshot's function.
+        """
+        cls = type(self)
+        if (
+            cls._lookup is not EncodedBitmapIndex._lookup
+            or cls._evaluate is not EncodedBitmapIndex._evaluate
+        ):
+            return None
+        if isinstance(predicate, IsNull) and self._null_vector is not None:
+            return None
+        while True:
+            with self._lock:
+                version = self._data_version
+                mapping = self._mapping.snapshot()
+            if isinstance(predicate, IsNull):
+                known: List[Any] = [None] if NULL in mapping else []
+            else:
+                known = self.predicate_values(predicate)
+            function = self.reduced_function(known) if known else None
+            kernel = None if function is None else self._kernel_for(function)
+            with self._lock:
+                if version == self._data_version:
+                    return SharedFunction(
+                        mapping,
+                        self.void_mode,
+                        self.null_mode,
+                        function,
+                        kernel,
+                    )
+
+    def can_share(self, shared: SharedFunction) -> bool:
+        """Whether this index's lookups may evaluate ``shared``: same
+        void/NULL modes and a mapping equal to the one it was derived
+        from (:meth:`MappingTable.same_as`, under the lock every write
+        to the mapping holds)."""
+        with self._lock:
+            return (
+                shared.void_mode == self.void_mode
+                and shared.null_mode == self.null_mode
+                and self._mapping.same_as(shared.mapping)
+            )
+
+    def _lookup_shared(
+        self, predicate: Predicate, cost: LookupCost, shared: Any
+    ) -> BitVector:
+        """Evaluate a shared function over this index's planes and delta.
+
+        The same optimistic read as :meth:`_lookup`: the data version
+        and the mapping check are read under one lock acquisition, and
+        ``_evaluate`` refuses the planes if the version moved.  When the
+        mapping no longer equals the shared one, the index derives its
+        own function, exactly as an unshared lookup does.
+        """
+        while True:
+            with self._lock:
+                version = self._data_version
+                joined = self.can_share(shared)
+            if not joined:
+                return self._lookup(predicate, cost)
+            if shared.function is None:
+                break
+            result = self._evaluate(
+                shared.function, cost, version=version, kernel=shared.kernel
+            )
+            if result is not None:
+                return result
+        return BitVector(self._snapshot_rows())
+
     def _lookup(self, predicate: Predicate, cost: LookupCost) -> BitVector:
         if isinstance(predicate, IsNull):
             return self._lookup_null(cost)
@@ -818,8 +919,10 @@ class EncodedBitmapIndex(Index):
         cost: LookupCost,
         *,
         version: Optional[int] = None,
+        kernel: Optional[CompiledKernel] = None,
     ) -> Optional[BitVector]:
-        """Evaluate ``function`` over the current planes.
+        """Evaluate ``function`` over the current planes, with ``kernel``
+        (its compiled form) when the caller has it.
 
         When ``version`` is given, the plane snapshot is validated
         against it *under the same lock that guards the version* (the
@@ -843,7 +946,9 @@ class EncodedBitmapIndex(Index):
                 if self._exists_vector is None
                 else self._exists_vector.copy()
             )
-        result = self._kernel_for(function).evaluate(planes, counter)
+        if kernel is None:
+            kernel = self._kernel_for(function)
+        result = kernel.evaluate(planes, counter)
         # The plane matrix is frozen at the last fold: grow to cover
         # delta rows — to the existence vector's length when it must
         # be ANDed in — or shrink to the batch's pinned watermark.

@@ -16,9 +16,9 @@ matrix of a :class:`~repro.kernels.planes.PlaneSet`:
   only the ``k`` planes.  A term ANDs its positive rows with the
   complement of the OR of its negated rows (De Morgan: one invert per
   term); when more terms carry a negated literal than there are
-  negated planes, each such plane is instead complemented once per
-  evaluation into a scratch row table and every term is a plain AND
-  chain;
+  negated planes, and always on the gather strategy, each such plane
+  is instead complemented once per evaluation into a scratch row table
+  and every term is a plain AND chain;
 * **adaptive strategy** — short vectors (≤ :data:`GATHER_MAX_WORDS`
   words) gather from that row table once, then
   ``np.bitwise_and.reduceat`` + ``np.bitwise_or.reduce`` (a handful of
@@ -215,14 +215,13 @@ class CompiledKernel:
         # The exact fetch order evaluate_dnf performs: every term's
         # cared variables, ascending, term by term.  Replayed verbatim
         # into the caller's AccessCounter for c_e parity.
-        self._access_order = tuple(
-            i for term in terms for i in term.variables()
-        )
+        variables = [term.variables() for term in terms]
+        self._access_order = tuple(i for vs in variables for i in vs)
 
         # One (plane, positive) literal tuple per term.
         literal_sets = [
-            tuple((i, bool((term.bits >> i) & 1)) for i in term.variables())
-            for term in terms
+            tuple((i, bool((term.bits >> i) & 1)) for i in vs)
+            for term, vs in zip(terms, variables)
         ]
 
         # Common-literal factoring: a literal present in every term is
@@ -319,9 +318,16 @@ class CompiledKernel:
             return self._evaluate_runs(planes)
 
         matrix = planes.matrix
-        scratch = _scratch(nwords, 2 + self._loop_table * len(self._negated))
-        if len(self._terms) >= 2 and nwords <= GATHER_MAX_WORDS:
-            words = self._evaluate_gather(matrix)
+        negated = len(self._negated)
+        gather = len(self._terms) >= 2 and nwords <= GATHER_MAX_WORDS
+        if gather:
+            # The gather's row table: the matrix, then the complements.
+            extra = planes.width + negated if negated else 0
+        else:
+            extra = self._loop_table * negated
+        scratch = _scratch(nwords, 2 + extra)
+        if gather:
+            words = self._evaluate_gather(matrix, scratch[2:])
         else:
             words = self._evaluate_loop(matrix, scratch)
         if self._terms and any(self._common):
@@ -378,10 +384,20 @@ class CompiledKernel:
         words[-1] &= tail_mask(planes.nbits)
         return BitVector._from_words(words, planes.nbits)
 
-    def _evaluate_gather(self, matrix: np.ndarray) -> np.ndarray:
-        """Gather strategy: a handful of numpy calls for the whole DNF."""
+    def _evaluate_gather(
+        self, matrix: np.ndarray, table: np.ndarray
+    ) -> np.ndarray:
+        """Gather strategy: a handful of numpy calls for the whole DNF.
+
+        With negated literals the rows are gathered from ``table``
+        (scratch), filled with the matrix rows and then each negated
+        plane's complement.
+        """
         if len(self._negated):
-            matrix = np.concatenate([matrix, ~matrix[self._negated]])
+            width = len(matrix)
+            table[:width] = matrix
+            np.invert(matrix[self._negated], out=table[width:])
+            matrix = table
         gathered = matrix[self._flat]
         terms = np.bitwise_and.reduceat(gathered, self._bounds, axis=0)
         result: np.ndarray = np.bitwise_or.reduce(terms, axis=0)

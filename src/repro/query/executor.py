@@ -236,7 +236,10 @@ class Executor:
         step = lookup.get(id(predicate))
         if step is None:
             raise QueryError(f"no access step for predicate {predicate}")
-        vector = step.index.lookup(predicate)
+        if step.shared is None:
+            vector = step.index.lookup(predicate)
+        else:
+            vector = step.index.lookup(predicate, shared=step.shared)
         step_cost = step.index.last_cost
         cost.vectors_accessed += step_cost.vectors_accessed
         cost.node_accesses += step_cost.node_accesses

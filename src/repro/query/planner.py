@@ -38,6 +38,7 @@ from repro.table.table import Table
 
 if TYPE_CHECKING:
     from repro.index.base import Index
+    from repro.index.encoded_bitmap import SharedFunction
 
 
 @dataclass
@@ -47,6 +48,10 @@ class AccessStep:
     predicate: Predicate
     index: "Index"
     estimated_cost: float
+    #: The leaf's retrieval function when it was derived once for
+    #: several indexes (:meth:`Planner.rebind`); ``None`` when the
+    #: index derives its own at lookup.
+    shared: Optional["SharedFunction"] = None
 
     def describe(self) -> str:
         return (
@@ -177,6 +182,44 @@ class Planner:
             plan.steps.clear()
             plan.fallback_scan = True
         return plan
+
+    def rebind(
+        self, plan: Plan, table: Table
+    ) -> Tuple[Optional[Plan], str]:
+        """``plan``, made on another table with the same columns, bound
+        to this catalog's indexes over ``table``.
+
+        Returns the bound plan and ``""``, or ``None`` and the reason
+        when planning ``table`` afresh could differ.  A step binds when
+        ``table``'s column has no degraded index and exactly one index
+        that serves the step, of the step index's class: :meth:`plan`
+        would choose that index too.  A step carrying a shared function
+        binds only to an index that can evaluate it (equal mapping and
+        void/NULL modes).  Estimated costs are ``plan``'s own.
+        """
+        bound = Plan(table=table, predicate=plan.predicate)
+        for step in plan.steps:
+            (column,) = step.predicate.columns()
+            indexes = self.catalog.indexes_on(table.name, column)
+            if any(getattr(index, "degraded", False) for index in indexes):
+                return None, f"degraded index on {column}"
+            serving = [
+                index for index in indexes if index.supports(step.predicate)
+            ]
+            if len(serving) != 1 or type(serving[0]) is not type(step.index):
+                return None, f"indexes on {column} differ"
+            index = serving[0]
+            if step.shared is not None and not index.can_share(step.shared):
+                return None, f"mapping or modes of {column} differ"
+            bound.steps.append(
+                AccessStep(
+                    predicate=step.predicate,
+                    index=index,
+                    estimated_cost=step.estimated_cost,
+                    shared=step.shared,
+                )
+            )
+        return bound, ""
 
     def _collect_steps(
         self, table: Table, predicate: Predicate, plan: Plan

@@ -1,37 +1,46 @@
 """Partition-parallel query execution with deterministic merging.
 
-Each partition is one unit of work: a worker thread plans and
-evaluates the predicate against the partition's own catalog (so the
-reduced retrieval expression uses the partition-local mapping), under
-a *private* metrics registry installed via
-:func:`repro.obs.metrics.use_registry` — concurrent partitions never
-touch a shared counter.  The numpy word-packed AND/OR/popcount and
-whole-column comparisons release the GIL, which is where thread
-parallelism pays on multi-core hosts.
+A batch (``execute_many``) runs in two steps.
+
+1. **Plan once, on the calling thread.**  Each predicate is planned on
+   its *leader*, the first partition whose plan uses an index.  Every
+   encoded leaf of that plan then derives its retrieval function once
+   (:meth:`~repro.index.encoded_bitmap.EncodedBitmapIndex.share_function`:
+   one ``predicate_values``, one reduction, one compile), because the
+   paper derives it from the mapping table alone (Section 2).  The
+   counters this moves are the predicate's, whatever the worker count.
+2. **Evaluate per partition.**  Each partition is one unit of work on
+   a worker thread, under a *private* metrics registry installed via
+   :func:`repro.obs.metrics.use_registry`, so concurrent partitions
+   never touch a shared counter.  A partition *joins* the shared plan
+   (:meth:`~repro.query.planner.Planner.rebind`) when its step columns
+   have no degraded index and one serving index each, of the leader's
+   class, with void/NULL modes and a mapping equal to the leader's
+   (fingerprint first, then ``==``, memoised per pair of mapping
+   generations: :meth:`~repro.encoding.mapping.MappingTable.same_as`).
+   Its steps are rebound to its own indexes, which evaluate the shared
+   function and kernel over their own planes and delta.  Each lookup
+   checks the mapping again under the index lock with the data
+   version, so a mapping that moved after planning derives its own
+   function, as an unshared lookup does.  Partitions that do not join
+   (diverged mappings, degraded indexes, scan fallbacks) plan
+   themselves, as before.  The numpy word-packed AND/OR/popcount and
+   whole-column comparisons release the GIL, which is where thread
+   parallelism pays on multi-core hosts.
 
 Merging is deterministic by construction, not by scheduling luck:
 partition results are combined in partition-id order regardless of
 completion order — result vectors by word-aligned concatenation,
-costs by summation, per-partition metric deltas by
-:func:`repro.obs.metrics.merge_metric_deltas`.  Running with one
-worker or eight therefore produces bit-identical rows, counts, and
+costs by summation, the planning counters and per-partition metric
+deltas by :func:`repro.obs.metrics.merge_metric_deltas`.  Running with
+one worker or eight therefore produces bit-identical rows, counts, and
 aggregated metrics (the property ``tests/test_shard.py`` pins down).
+``c_e`` stays a per-partition sum, and ``explain`` prints each
+partition's plan with whether it joined the shared one.
 
-``execute_many`` is the batch API: all of a batch's predicates are
-evaluated partition by partition, sharing one column-array cache per
-partition, so the vector-scan fallback converts each column once.
-
-Compiled-kernel and reduction reuse across partitions is free: the
-reduction cache (:mod:`repro.boolean.reduction`) and the compile cache
-(:mod:`repro.kernels.compiler`) are process-wide and thread-safe, so
-when partitions are built over one *shared* mapping (identical codes),
-the first partition to see a predicate shape pays Quine–McCluskey and
-kernel compilation once and the other N-1 partitions hit the caches —
-watch ``boolean.reduction_cache.hits`` and
-``kernels.compile_cache.hits`` in the merged metrics.  Partition-local
-mappings (the :class:`~repro.shard.index.PartitionedIndex` default)
-produce different codes per partition and therefore different cache
-keys; supply a shared-mapping factory to unlock the sharing.
+Every worker task covers all of a batch's predicates for one
+partition, sharing one column-array cache, so the vector-scan fallback
+converts each column once per partition.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ from repro.query.options import (
     check_deadline,
     start_deadline,
 )
+from repro.query.planner import Plan, Planner
 from repro.query.predicates import Predicate
 from repro.query.snapshot import bounded_rows, pinned_rows
 from repro.shard.partition import Partition, PartitionedTable
@@ -95,6 +105,9 @@ class PartitionSlice:
     #: True when the fallback scan ran as whole-column numpy
     #: comparisons instead of the per-row Python loop.
     vector_scan: bool
+    #: True when the partition ran the batch's shared plan for this
+    #: query (see the module docstring) instead of planning itself.
+    shared_plan: bool = False
 
 
 @dataclass
@@ -112,6 +125,18 @@ class _PartitionRecord:
     result: QueryResult
     wall_seconds: float
     vector_scan: bool
+    shared_plan: bool
+
+
+@dataclass(slots=True)
+class SharedPlan:
+    """One predicate's plan, made once per batch on its leader."""
+
+    plan: Plan
+    #: Id of the partition the plan was made on.
+    leader: int
+    #: Counters that moved while planning (reductions, compiles).
+    metrics: Dict[str, MetricValue]
 
 
 class ParallelExecutor:
@@ -199,6 +224,7 @@ class ParallelExecutor:
         cpu = time.process_time()
 
         partitions = self.table.partitions
+        shared = [self._share(predicate) for predicate in predicates]
         if nworkers == 1:
             # Streaming pipeline: while partition i evaluates on this
             # thread, a helper warms partition i+1's spilled plane
@@ -220,17 +246,19 @@ class ParallelExecutor:
                         predicates,
                         trace,
                         snapshot_rows=opts.snapshot_rows,
+                        shared=shared,
                     )
                 )
                 if prefetcher is not None:
                     prefetcher.join()
         else:
             outcomes = self._run_threaded(
-                partitions, predicates, trace, nworkers, opts, deadline
+                partitions, predicates, shared, trace, nworkers, opts,
+                deadline,
             )
 
         results = self._merge(
-            predicates, partitions, outcomes, nworkers, trace
+            predicates, shared, partitions, outcomes, nworkers, trace
         )
         elapsed = time.perf_counter() - wall
         for result in results:
@@ -246,13 +274,40 @@ class ParallelExecutor:
                 if result.trace is not None:
                     result.trace.stages.append(timing)
 
-        self._publish(registry, predicates, outcomes)
+        self._publish(registry, predicates, shared, outcomes)
         return results
+
+    def _share(self, predicate: Predicate) -> Optional[SharedPlan]:
+        """Plan ``predicate`` on its leader and derive each encoded
+        leaf's function once; ``None`` when no partition's index
+        serves it.
+
+        Runs under a private registry, whose counters become the
+        plan's :attr:`SharedPlan.metrics`.
+        """
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for partition in self.table.partitions:
+                plan = Planner(partition.catalog).plan(
+                    partition.table, predicate
+                )
+                if not plan.fallback_scan:
+                    break
+                if not plan.degraded_columns:
+                    return None  # a column without any index
+            else:
+                return None
+            for step in plan.steps:
+                share = getattr(step.index, "share_function", None)
+                if share is not None:
+                    step.shared = share(step.predicate)
+        return SharedPlan(plan, partition.id, registry.snapshot())
 
     def _run_threaded(
         self,
         partitions: Sequence[Partition],
         predicates: Sequence[Predicate],
+        shared: Sequence[Optional[SharedPlan]],
         trace: bool,
         nworkers: int,
         opts: QueryOptions,
@@ -274,6 +329,7 @@ class ParallelExecutor:
                     predicates,
                     trace,
                     snapshot_rows=opts.snapshot_rows,
+                    shared=shared,
                 )
                 for partition in partitions
             ]
@@ -296,22 +352,35 @@ class ParallelExecutor:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def explain(self, predicate: Predicate) -> str:
-        """Partition-aware EXPLAIN: one plan per partition, no reads."""
+        """Partition-aware EXPLAIN: one plan per partition, no reads.
+
+        Each partition's block says whether it would run the shared
+        plan (``plan: shared``) or plan itself, and why
+        (``plan: own (reason)``).
+        """
+        shared = self._share(predicate)
         lines = [
             "PARTITIONED QUERY PLAN",
             f"  table: {self.table.name} "
             f"({len(self.table.partitions)} partitions, "
             f"workers={self.workers})",
             f"  predicate: {predicate}",
+            "  shared plan: "
+            + ("none" if shared is None else f"made on #{shared.leader}"),
         ]
         for partition in self.table.partitions:
-            executor = Executor(partition.catalog)
-            plan = executor.planner.plan(partition.table, predicate)
+            planner = Planner(partition.catalog)
+            plan, reason = _bind(planner, partition, shared)
+            if plan is None:
+                plan = planner.plan(partition.table, predicate)
             span = (
                 f"rows {partition.offset}.."
                 f"{partition.offset + len(partition.table)}"
             )
             lines.append(f"  partition {partition.id} [{span}):")
+            lines.append(
+                "    plan: " + ("shared" if not reason else f"own ({reason})")
+            )
             lines.extend(
                 "    " + line for line in plan.explain().splitlines()
             )
@@ -351,6 +420,7 @@ class ParallelExecutor:
         trace: bool,
         *,
         snapshot_rows: Optional[int] = None,
+        shared: Optional[Sequence[Optional[SharedPlan]]] = None,
     ) -> Tuple[List[_PartitionRecord], Dict[str, MetricValue]]:
         # Out-of-core hook: fault the partition in (page-accounted)
         # and let the LRU budget spill colder ones before evaluating.
@@ -362,6 +432,7 @@ class ParallelExecutor:
             predicates,
             trace,
             snapshot_rows=snapshot_rows,
+            shared=shared,
         )
 
     @staticmethod
@@ -401,6 +472,7 @@ class ParallelExecutor:
     def _merge(
         self,
         predicates: Sequence[Predicate],
+        shared: Sequence[Optional[SharedPlan]],
         partitions: Sequence[Partition],
         outcomes: Sequence[
             Tuple[List[_PartitionRecord], Dict[str, MetricValue]]
@@ -434,14 +506,19 @@ class ParallelExecutor:
                         used_scan=part_result.used_scan,
                         degraded=part_result.degraded,
                         vector_scan=record.vector_scan,
+                        shared_plan=record.shared_plan,
                     )
                 )
+            planned = shared[q]
+            plan_metrics = {} if planned is None else planned.metrics
             merged = PartitionedQueryResult(
                 vector=BitVector.concat(vectors),
                 cost=cost,
                 used_scan=any(s.used_scan for s in slices),
                 degraded=any(s.degraded for s in slices),
-                metrics=merge_metric_deltas(s.metrics for s in slices),
+                metrics=merge_metric_deltas(
+                    [plan_metrics, *(s.metrics for s in slices)]
+                ),
                 partitions=slices,
                 workers=nworkers,
             )
@@ -484,11 +561,13 @@ class ParallelExecutor:
         self,
         registry: MetricsRegistry,
         predicates: Sequence[Predicate],
+        shared: Sequence[Optional[SharedPlan]],
         outcomes: Sequence[
             Tuple[List[_PartitionRecord], Dict[str, MetricValue]]
         ],
     ) -> None:
-        """Fold the partition-private registries into the caller's.
+        """Fold the planning and partition-private registries into the
+        caller's.
 
         Integer (counter) totals are replayed as increments in
         partition order; float-valued entries (gauges, histogram
@@ -496,7 +575,10 @@ class ParallelExecutor:
         aggregate meaningfully across partitions.
         """
         totals = merge_metric_deltas(
-            snapshot for _records, snapshot in outcomes
+            [
+                *(plan.metrics for plan in shared if plan is not None),
+                *(snapshot for _records, snapshot in outcomes),
+            ]
         )
         for name, value in totals.items():
             if isinstance(value, bool) or not isinstance(value, int):
@@ -508,12 +590,23 @@ class ParallelExecutor:
         registry.counter("shard.queries").inc(len(predicates))
 
 
+def _bind(
+    planner: Planner, partition: Partition, shared: Optional[SharedPlan]
+) -> Tuple[Optional[Plan], str]:
+    """The shared plan bound to ``partition`` (and ``""``), or ``None``
+    and why the partition plans itself."""
+    if shared is None:
+        return None, "no index plan to share"
+    return planner.rebind(shared.plan, partition.table)
+
+
 def run_partition_batch(
     partition: Partition,
     predicates: Sequence[Predicate],
     trace: bool = False,
     *,
     snapshot_rows: Optional[int] = None,
+    shared: Optional[Sequence[Optional[SharedPlan]]] = None,
 ) -> Tuple[List[_PartitionRecord], Dict[str, MetricValue]]:
     """Evaluate a predicate batch against one partition.
 
@@ -522,7 +615,9 @@ def run_partition_batch(
     metrics registry (returned as the snapshot half of the result) and
     a pinned row watermark; ``snapshot_rows`` is a caller-supplied pin
     in *global* row ids that clamps the partition to its slice of the
-    first ``snapshot_rows`` rows.
+    first ``snapshot_rows`` rows.  ``shared`` holds the batch's shared
+    plans, one per predicate; without them every predicate is planned
+    against the partition's own catalog.
     """
     registry = MetricsRegistry()
     records: List[_PartitionRecord] = []
@@ -537,9 +632,16 @@ def run_partition_batch(
     with use_registry(registry), pinned_rows(partition.table, rows=bound):
         executor = Executor(partition.catalog)
         arrays = ColumnArrayCache(partition.table)
-        for predicate in predicates:
+        for q, predicate in enumerate(predicates):
             start = time.perf_counter()
-            plan = executor.planner.plan(partition.table, predicate)
+            plan: Optional[Plan] = None
+            if shared is not None:
+                plan, _reason = _bind(executor.planner, partition, shared[q])
+            joined = plan is not None
+            if plan is None:
+                plan = executor.planner.plan(partition.table, predicate)
+            else:
+                registry.counter("shard.shared_plan_partitions").inc()
             result: Optional[QueryResult] = None
             vector_scan = False
             if plan.fallback_scan and not plan.degraded_columns:
@@ -554,6 +656,7 @@ def run_partition_batch(
                     result=result,
                     wall_seconds=time.perf_counter() - start,
                     vector_scan=vector_scan,
+                    shared_plan=joined,
                 )
             )
     return records, registry.snapshot()
