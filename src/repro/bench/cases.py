@@ -1660,7 +1660,7 @@ def case_scale(tolerance: float, *, rows: int) -> List[Comparison]:
     budget is :data:`SCALE_BUDGET_FRACTION` of the total packed plane
     bytes, forcing the serial streaming executor to spill cold
     partitions to CRC-headered plane files, fault them back as
-    ``np.memmap``-backed :class:`~repro.kernels.mapped.MappedPlaneSet`
+    ``mmap``-backed :class:`~repro.kernels.mapped.MappedPlaneSet`
     snapshots, and prefetch the next partition while the current one
     evaluates.
 

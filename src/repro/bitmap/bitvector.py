@@ -302,7 +302,7 @@ class BitVector:
         bits = np.unpackbits(
             self._words.view(np.uint8), bitorder="little"
         )
-        return bits[: self._nbits].astype(bool)
+        return bits[: self._nbits].view(bool)
 
     def to_bitstring(self) -> str:
         """Render as a '0'/'1' string, bit 0 first."""

@@ -298,10 +298,4 @@ def range_values(column_values, predicate: Range) -> list:
     Used by discrete-domain indexes that rewrite ranges into IN-lists,
     as the paper prescribes for discrete domains.
     """
-    selected = []
-    for value in column_values:
-        if value is None:
-            continue
-        if predicate.matches({predicate.column: value}):
-            selected.append(value)
-    return selected
+    return list(filter(predicate.accepts, column_values))

@@ -863,7 +863,8 @@ class EncodedBitmapIndex(Index):
 
         Writes the current dense matrix to ``path`` as a CRC-headered
         plane file (``repro.kernels.mapped``) and installs a read-only
-        ``np.memmap`` view in its place, freeing the dense matrix.
+        view of an ``mmap`` of that file in its place, freeing the
+        dense matrix.
         Lookups keep working unchanged — results and ``c_e`` are
         bit-identical — with plane words paging in from disk on demand.
 

@@ -35,6 +35,11 @@ comparison.
     the current width and cover exactly its selected codes over the
     assigned code set (unused codes are don't-cares).
 
+``plane-file``
+    A spilled index serves its planes from an ``EBIPLANE`` file
+    (:mod:`repro.kernels.mapped`): the file's header and payload CRCs
+    must still match what was written, and its geometry the map's.
+
 :func:`repair` is the recovery path: it reports which bitmap vectors
 were damaged and publishes a plane matrix rebuilt from the base column
 (the mapping itself cannot be reconstructed from data, so mapping
@@ -57,21 +62,24 @@ import numpy as np
 
 from repro.boolean.reduction import ReducedFunction
 from repro.encoding.mapping import NULL, VOID, MappingTable
-from repro.errors import CorruptIndexError
+from repro.errors import ChecksumError, CorruptIndexError
 from repro.index import serialization
 from repro.index.encoded_bitmap import EncodedBitmapIndex
+from repro.kernels.mapped import MappedPlaneSet
 
 #: Invariant identifiers, in audit order.
 INVARIANT_MAPPING = "mapping-consistency"
 INVARIANT_VOID = "void-code-zero"
 INVARIANT_PARTITION = "row-partition"
 INVARIANT_CACHE = "reduction-cache"
+INVARIANT_PLANE_FILE = "plane-file"
 
 ALL_INVARIANTS = (
     INVARIANT_MAPPING,
     INVARIANT_VOID,
     INVARIANT_PARTITION,
     INVARIANT_CACHE,
+    INVARIANT_PLANE_FILE,
 )
 
 #: Cap on per-row violation detail kept in a report.
@@ -383,6 +391,21 @@ def _check_reduction_cache(
         )
 
 
+def _check_plane_file(index: EncodedBitmapIndex, report: FsckReport) -> None:
+    """A spilled index's plane file still holds what was written."""
+    planes = index.planes()
+    if not isinstance(planes, MappedPlaneSet):
+        return
+    try:
+        planes.verify()
+    except (ChecksumError, CorruptIndexError) as exc:
+        report.violations.append(Violation(INVARIANT_PLANE_FILE, str(exc)))
+    except OSError:
+        # Unlinked by a closed residency manager: the map still serves
+        # the bits, which the row-partition audit has read.
+        pass
+
+
 # ----------------------------------------------------------------------
 # public entry points
 # ----------------------------------------------------------------------
@@ -403,6 +426,7 @@ def verify_index(
         _check_void_code_zero(index, report, stored, expected)
         _check_row_partition(index, report, stored, expected)
         _check_reduction_cache(index, report)
+    _check_plane_file(index, report)
     if mark:
         index.degraded = not report.ok
     return report

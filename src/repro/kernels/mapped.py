@@ -2,8 +2,10 @@
 
 A :class:`MappedPlaneSet` is the on-disk counterpart of
 :class:`~repro.kernels.planes.PlaneSet`: the same ``(k, nwords)``
-uint64 matrix, one row per plane, but backed by ``np.memmap`` over a
-CRC-headered plane file instead of process RAM.
+uint64 matrix, one row per plane, but a plain ndarray view of a
+read-only ``mmap`` of a CRC-headered plane file instead of process RAM
+(a plain view, not ``np.memmap``, whose subclass dispatch would cost
+every kernel operation).
 :meth:`repro.kernels.compiler.CompiledKernel.evaluate` accepts either —
 evaluation never writes into the plane matrix, so results, rows and
 ``c_e`` accounting are bit-identical while the OS pages plane words in
@@ -53,11 +55,12 @@ True
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import threading
 import zlib
-from typing import Union
+from typing import BinaryIO, Optional, Tuple, Union
 
 import numpy as np
 
@@ -113,6 +116,31 @@ def write_plane_file(planes: PlaneSet, path: Union[str, os.PathLike]) -> int:
     return PLANE_DATA_OFFSET + len(payload)
 
 
+def _read_header(handle: BinaryIO, path: str) -> Tuple[int, int, int, int]:
+    """Read and check a plane file's header from ``handle``'s start.
+
+    Returns ``(width, nbits, nwords, payload_crc)``; raises
+    :class:`~repro.errors.CorruptIndexError` /
+    :class:`~repro.errors.ChecksumError` on a bad header.
+    """
+    raw = handle.read(_HEADER.size + _HEADER_CRC.size)
+    if len(raw) < _HEADER.size + _HEADER_CRC.size:
+        raise CorruptIndexError(f"plane file {path!r}: truncated header")
+    (stored_crc,) = _HEADER_CRC.unpack_from(raw, _HEADER.size)
+    if zlib.crc32(raw[: _HEADER.size]) & 0xFFFFFFFF != stored_crc:
+        raise ChecksumError(f"plane file {path!r}: header CRC mismatch")
+    magic, version, width, nbits, nwords, payload_crc = _HEADER.unpack_from(
+        raw
+    )
+    if magic != PLANE_MAGIC:
+        raise CorruptIndexError(f"plane file {path!r}: bad magic {magic!r}")
+    if version != PLANE_FORMAT_VERSION:
+        raise CorruptIndexError(
+            f"plane file {path!r}: unsupported version {version}"
+        )
+    return width, nbits, nwords, payload_crc
+
+
 class MappedPlaneSet:
     """A plane snapshot whose matrix lives in a memory-mapped file.
 
@@ -123,7 +151,7 @@ class MappedPlaneSet:
     through the map.
     """
 
-    __slots__ = ("matrix", "width", "nbits", "nwords", "path")
+    __slots__ = ("matrix", "width", "nbits", "nwords", "path", "_map")
 
     def __init__(
         self,
@@ -131,12 +159,14 @@ class MappedPlaneSet:
         width: int,
         nbits: int,
         path: str,
+        file_map: mmap.mmap,
     ) -> None:
         self.matrix = matrix
         self.width = width
         self.nbits = nbits
         self.nwords = int(matrix.shape[1]) if matrix.ndim == 2 else 0
         self.path = path
+        self._map: Optional[mmap.mmap] = file_map
 
     @classmethod
     def open(cls, path: Union[str, os.PathLike]) -> "MappedPlaneSet":
@@ -151,37 +181,23 @@ class MappedPlaneSet:
         """
         path = os.fspath(path)
         with open(path, "rb") as handle:
-            raw = handle.read(_HEADER.size + _HEADER_CRC.size)
-        if len(raw) < _HEADER.size + _HEADER_CRC.size:
-            raise CorruptIndexError(f"plane file {path!r}: truncated header")
-        (stored_crc,) = _HEADER_CRC.unpack_from(raw, _HEADER.size)
-        if zlib.crc32(raw[: _HEADER.size]) & 0xFFFFFFFF != stored_crc:
-            raise ChecksumError(f"plane file {path!r}: header CRC mismatch")
-        magic, version, width, nbits, nwords, _payload_crc = _HEADER.unpack_from(
-            raw
-        )
-        if magic != PLANE_MAGIC:
-            raise CorruptIndexError(
-                f"plane file {path!r}: bad magic {magic!r}"
+            width, nbits, nwords, _payload_crc = _read_header(handle, path)
+            expected = PLANE_DATA_OFFSET + width * nwords * 8
+            actual = os.fstat(handle.fileno()).st_size
+            if actual < expected:
+                raise CorruptIndexError(
+                    f"plane file {path!r}: {actual} bytes, need {expected}"
+                )
+            file_map = mmap.mmap(
+                handle.fileno(), expected, access=mmap.ACCESS_READ
             )
-        if version != PLANE_FORMAT_VERSION:
-            raise CorruptIndexError(
-                f"plane file {path!r}: unsupported version {version}"
-            )
-        expected = PLANE_DATA_OFFSET + width * nwords * 8
-        actual = os.path.getsize(path)
-        if actual < expected:
-            raise CorruptIndexError(
-                f"plane file {path!r}: {actual} bytes, need {expected}"
-            )
-        matrix = np.memmap(
-            path,
+        matrix = np.frombuffer(
+            file_map,
             dtype="<u8",
-            mode="r",
+            count=width * nwords,
             offset=PLANE_DATA_OFFSET,
-            shape=(width, nwords),
-        )
-        return cls(matrix, width, int(nbits), path)
+        ).reshape(width, nwords)
+        return cls(matrix, width, nbits, path, file_map)
 
     def nbytes(self) -> int:
         """Mapped matrix bytes (what a dense snapshot would occupy in
@@ -189,15 +205,22 @@ class MappedPlaneSet:
         return self.width * self.nwords * 8
 
     def verify(self) -> None:
-        """Full payload CRC check (sequential read of the whole file).
+        """Full header and payload CRC check (sequential read of the
+        whole file), plus the header's geometry against this map's.
 
-        Raises :class:`~repro.errors.ChecksumError` on mismatch.
+        Raises :class:`~repro.errors.ChecksumError` or
+        :class:`~repro.errors.CorruptIndexError` on mismatch.
         """
         with open(self.path, "rb") as handle:
-            raw = handle.read(_HEADER.size)
-            magic, version, width, nbits, nwords, payload_crc = (
-                _HEADER.unpack(raw)
+            width, _nbits, nwords, payload_crc = _read_header(
+                handle, self.path
             )
+            if (width, nwords) != (self.width, self.nwords):
+                raise CorruptIndexError(
+                    f"plane file {self.path!r}: header declares "
+                    f"{width}x{nwords} words, mapped "
+                    f"{self.width}x{self.nwords}"
+                )
             handle.seek(PLANE_DATA_OFFSET)
             measured = 0
             remaining = width * nwords * 8
@@ -228,14 +251,14 @@ class MappedPlaneSet:
         )
 
     def close(self) -> None:
-        """Release the underlying map (drops the mmap reference; the
-        OS unmaps once no array views remain)."""
-        mm = getattr(self.matrix, "_mmap", None)
+        """Release the underlying map (the OS unmaps once no array
+        views remain)."""
+        file_map, self._map = self._map, None
         self.matrix = np.empty((self.width, 0), dtype=np.uint64)
-        if mm is not None:
+        if file_map is not None:
             try:
-                mm.close()
-            except (BufferError, ValueError):
+                file_map.close()
+            except BufferError:
                 # Live views keep the map alive; the GC finishes it.
                 pass
 

@@ -509,7 +509,7 @@ class MappedMaterializeLoopRule(Rule):
     """EBI108: full materialisation of mapped planes inside a loop.
 
     A ``MappedPlaneSet`` exists so kernels evaluate *through* the
-    ``np.memmap`` view, paying only for the plane rows a reduced
+    mapped view, paying only for the plane rows a reduced
     function touches (docs/out_of_core.md).  Calling
     ``materialize()`` / ``.copy()`` on a mapped receiver — or
     densifying one via ``np.asarray``/``np.array`` — inside a loop

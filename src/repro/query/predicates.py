@@ -92,7 +92,10 @@ class Range(Predicate):
     high_inclusive: bool = True
 
     def matches(self, row: dict) -> bool:
-        value = row.get(self.column)
+        return self.accepts(row.get(self.column))
+
+    def accepts(self, value: Any) -> bool:
+        """Whether one column value lies in the range (never NULL)."""
         if value is None:
             return False
         if self.low is not None:

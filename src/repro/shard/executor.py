@@ -45,7 +45,6 @@ converts each column once per partition.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -227,12 +226,12 @@ class ParallelExecutor:
         shared = [self._share(predicate) for predicate in predicates]
         if nworkers == 1:
             # Streaming pipeline: while partition i evaluates on this
-            # thread, a helper warms partition i+1's spilled plane
-            # file (double buffering — fault-in I/O overlaps kernel
-            # time instead of serialising with it).  A no-op without a
-            # residency manager or when everything is resident.
+            # thread, the residency manager's prefetch worker warms
+            # partition i+1's spilled plane file (double buffering —
+            # fault-in I/O overlaps kernel time instead of serialising
+            # with it).  A no-op without a residency manager or when
+            # everything is resident.
             outcomes = []
-            prefetcher: Optional[threading.Thread] = None
             for position, partition in enumerate(partitions):
                 check_deadline(deadline, opts)
                 prefetcher = (
@@ -250,7 +249,7 @@ class ParallelExecutor:
                     )
                 )
                 if prefetcher is not None:
-                    prefetcher.join()
+                    prefetcher.result()
         else:
             outcomes = self._run_threaded(
                 partitions, predicates, shared, trace, nworkers, opts,
@@ -393,25 +392,18 @@ class ParallelExecutor:
         self,
         partitions: Sequence[Partition],
         position: int,
-    ) -> Optional[threading.Thread]:
+    ) -> Optional[Future]:
         """Warm the plane file of ``partitions[position]`` off-thread.
 
-        Returns the helper thread (joined after the current partition
-        finishes evaluating) or ``None`` when there is nothing to
-        prefetch — no residency manager, or no next partition.
+        Returns the prefetch's future (awaited after the current
+        partition finishes evaluating) or ``None`` when there is
+        nothing to prefetch — no residency manager, or no next
+        partition.
         """
         manager = self.residency
         if manager is None or position >= len(partitions):
             return None
-        partition_id = partitions[position].id
-        thread = threading.Thread(
-            target=manager.prefetch,
-            args=(partition_id,),
-            name=f"ebi-prefetch-{partition_id}",
-            daemon=True,
-        )
-        thread.start()
-        return thread
+        return manager.prefetch_async(partitions[position].id)
 
     def _run_partition(
         self,

@@ -7,7 +7,7 @@ a configurable ``memory_budget_bytes``:
 
 * **spill** — a cold partition's plane matrix is written to a
   CRC-headered plane file (:func:`repro.kernels.mapped.write_plane_file`)
-  and swapped for a read-only ``np.memmap`` view
+  and swapped for a read-only view of an ``mmap`` of that file
   (:meth:`~repro.index.encoded_bitmap.EncodedBitmapIndex.spill_planes`),
   freeing the dense matrix while queries keep running bit-identically;
 * **evict** — spills are chosen LRU by last-query epoch whenever the
@@ -16,9 +16,11 @@ a configurable ``memory_budget_bytes``:
   back from disk on demand; when the budget has headroom the snapshot
   is promoted back to the dense tier
   (:meth:`~repro.index.encoded_bitmap.EncodedBitmapIndex.promote_planes`);
-* **prefetch** — the streaming executor warms the next partition's
-  plane file while the current one evaluates (:meth:`prefetch`),
-  overlapping fault-in I/O with kernel time.
+* **prefetch** — the streaming executor hands the next partition to
+  the manager's one prefetch worker (:meth:`prefetch_async`) while the
+  current one evaluates; the worker asks the OS to read the plane file
+  ahead (``posix_fadvise(WILLNEED)``), overlapping fault-in I/O with
+  kernel time without copying the pages into the process.
 
 A partition may carry several indexed columns; each child index
 registers under the same partition id and is tracked (and spilled)
@@ -26,8 +28,8 @@ independently, while :meth:`acquire`/:meth:`prefetch` operate on the
 whole partition — the unit the executor schedules.
 
 Accounting stays honest through the storage counters: every spill,
-fault and prefetch is recorded page-granularly (the paper's
-``p = 4K``) on an :class:`~repro.storage.stats.IOStatistics` block, so
+fault and prefetch records its page count (the paper's ``p = 4K``) on
+an :class:`~repro.storage.stats.IOStatistics` block, so
 ``storage.*`` metrics and the Section 3 page-cost model line up with
 real file traffic rather than simulated reads.  Eviction drops a
 partition's pages from the accounted pool, so an unwarmed acquire of a
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from threading import RLock
 from typing import Dict, List, Optional, Tuple
@@ -144,6 +147,7 @@ class ResidencyManager:
         self.promotions = 0
         self.prefetches = 0
         self._closed = False
+        self._prefetcher: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
     # registration / introspection
@@ -214,13 +218,34 @@ class ResidencyManager:
                 self._charge_dense(entry)
         self.enforce(exclude=partition_id)
 
+    def prefetch_async(self, partition_id: int) -> Optional[Future]:
+        """Run :meth:`prefetch` on the manager's prefetch worker.
+
+        One worker thread (``ebi-prefetch``) is started on first use
+        and serves every later prefetch until :meth:`close`.  Returns
+        the prefetch's future, or ``None`` once the manager is closed.
+        """
+        with self._lock:
+            if self._closed:
+                return None
+            if self._prefetcher is None:
+                self._prefetcher = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="ebi-prefetch"
+                )
+            worker = self._prefetcher
+        try:
+            return worker.submit(self.prefetch, partition_id)
+        except RuntimeError:  # close() shut the worker down meanwhile
+            return None
+
     def prefetch(self, partition_id: int) -> None:
         """Warm a spilled partition's plane files ahead of evaluation.
 
-        Reads the files sequentially (counting physical page reads),
-        so the following :meth:`acquire` — typically issued while the
-        *previous* partition is still evaluating — finds the pages hot
-        and accounts pool hits only.  A no-op for resident partitions.
+        Asks the OS to read each file's payload ahead (counting
+        physical page reads), so the following :meth:`acquire` —
+        typically issued while the *previous* partition is still
+        evaluating — finds the pages hot and accounts pool hits only.
+        A no-op for resident partitions.
         """
         with self._lock:
             entries = [
@@ -238,9 +263,8 @@ class ResidencyManager:
             with self._lock:
                 entry.warm = True
                 self.prefetches += 1
-            for _ in range(pages):
-                self.stats.record_logical_read()
-                self.stats.record_physical_read()
+            self.stats.record_logical_read(pages)
+            self.stats.record_physical_read(pages)
 
     # ------------------------------------------------------------------
     # spill / enforce
@@ -340,7 +364,8 @@ class ResidencyManager:
             }
 
     def close(self) -> None:
-        """Remove plane files and stop tracking.  Idempotent.
+        """Stop the prefetch worker, remove plane files and stop
+        tracking.  Idempotent.
 
         Mapped indexes stay readable until their snapshot is next
         rebuilt (on POSIX an unlinked mapping remains valid); callers
@@ -354,6 +379,9 @@ class ResidencyManager:
             entries = list(self._entries.values())
             self._entries.clear()
             self._resident = 0
+            prefetcher, self._prefetcher = self._prefetcher, None
+        if prefetcher is not None:
+            prefetcher.shutdown(wait=True)
         for entry in entries:
             try:
                 os.unlink(entry.path)
@@ -402,9 +430,7 @@ class ResidencyManager:
         if file_bytes is None:
             return False
         payload = max(file_bytes - PLANE_DATA_OFFSET, 0)
-        pages = -(-payload // self.page_size)
-        for _ in range(pages):
-            self.stats.record_write()
+        self.stats.record_write(-(-payload // self.page_size))
         self.stats.record_eviction()
         with self._lock:
             self._resident -= entry.charged
@@ -455,12 +481,11 @@ class ResidencyManager:
             entry.plane_bytes = max(entry.plane_bytes, payload)
             if not warm:
                 self.faults += 1
-        for _ in range(pages):
-            self.stats.record_logical_read()
-            if warm:
-                self.stats.record_pool_hit()
-            else:
-                self.stats.record_physical_read()
+        self.stats.record_logical_read(pages)
+        if warm:
+            self.stats.record_pool_hit(pages)
+        else:
+            self.stats.record_physical_read(pages)
         budget = self.memory_budget_bytes
         if budget is not None:
             with self._lock:
@@ -477,19 +502,24 @@ class ResidencyManager:
                             self._peak = self._resident
 
     def _warm_file(self, path: str) -> int:
-        """Sequentially read ``path``'s payload; returns page count."""
-        pages = 0
+        """Ask the OS to read ``path``'s payload ahead; returns its page
+        count (0 when the file is gone).  Gives no hint where
+        ``os.posix_fadvise`` does not exist."""
         try:
-            with open(path, "rb") as handle:
-                handle.seek(PLANE_DATA_OFFSET)
-                while True:
-                    chunk = handle.read(1 << 20)
-                    if not chunk:
-                        break
-                    pages += -(-len(chunk) // self.page_size)
+            fd = os.open(path, os.O_RDONLY)
         except OSError:
             return 0
-        return pages
+        try:
+            payload = max(os.fstat(fd).st_size - PLANE_DATA_OFFSET, 0)
+            if hasattr(os, "posix_fadvise"):
+                os.posix_fadvise(
+                    fd, PLANE_DATA_OFFSET, payload, os.POSIX_FADV_WILLNEED
+                )
+        except OSError:
+            return 0
+        finally:
+            os.close(fd)
+        return -(-payload // self.page_size)
 
     def __repr__(self) -> str:
         with self._lock:

@@ -153,16 +153,17 @@ class IOStatistics:
         return self._counters["checksum_failures"].value
 
     # ------------------------------------------------------------------
-    # recorders (called from the pager / buffer pool hot paths)
+    # recorders (called from the pager / buffer pool hot paths; the
+    # page recorders take a count, so a whole file is one call)
     # ------------------------------------------------------------------
-    def record_logical_read(self) -> None:
-        self._counters["logical_reads"].inc()
+    def record_logical_read(self, count: int = 1) -> None:
+        self._counters["logical_reads"].inc(count)
 
-    def record_physical_read(self) -> None:
-        self._counters["physical_reads"].inc()
+    def record_physical_read(self, count: int = 1) -> None:
+        self._counters["physical_reads"].inc(count)
 
-    def record_write(self) -> None:
-        self._counters["writes"].inc()
+    def record_write(self, count: int = 1) -> None:
+        self._counters["writes"].inc(count)
 
     def record_allocation(self) -> None:
         self._counters["allocations"].inc()
@@ -170,8 +171,8 @@ class IOStatistics:
     def record_eviction(self) -> None:
         self._counters["evictions"].inc()
 
-    def record_pool_hit(self) -> None:
-        self._counters["pool_hits"].inc()
+    def record_pool_hit(self, count: int = 1) -> None:
+        self._counters["pool_hits"].inc(count)
 
     def record_pool_miss(self) -> None:
         self._counters["pool_misses"].inc()

@@ -9,10 +9,14 @@ file-level ``repro fsck`` CLI.
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.database import Database
 from repro.errors import CorruptIndexError
 from repro.index import serialization
 from repro.index.encoded_bitmap import EncodedBitmapIndex
@@ -21,13 +25,16 @@ from repro.index.verify import (
     INVARIANT_CACHE,
     INVARIANT_MAPPING,
     INVARIANT_PARTITION,
+    INVARIANT_PLANE_FILE,
     INVARIANT_VOID,
     repair,
     verify_index,
     verify_payload,
 )
 from repro.kernels import PlaneSet
+from repro.kernels.mapped import PLANE_DATA_OFFSET
 from repro.query.executor import Executor
+from repro.query.options import QueryOptions
 from repro.query.predicates import Equals, InList
 from repro.table.catalog import Catalog
 from repro.table.table import Table
@@ -187,14 +194,42 @@ def test_detects_stale_reduction_cache():
     assert INVARIANT_CACHE in report.invariants_violated()
 
 
-def test_all_four_invariants_detectable():
-    """Belt and braces: the corruption battery above spans all four."""
+def flip_payload_byte(path: str, offset: int = 0) -> None:
+    """Invert one byte of a plane file's matrix, in place."""
+    with open(path, "r+b") as handle:
+        handle.seek(PLANE_DATA_OFFSET + offset)
+        byte = handle.read(1)
+        handle.seek(PLANE_DATA_OFFSET + offset)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+def test_detects_plane_file_corruption():
+    table = build_table()
+    index = EncodedBitmapIndex(table, "A")
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "planes.ebp")
+        assert index.spill_planes(path)
+        assert verify_index(index).ok
+        flip_payload_byte(path)
+        report = verify_index(index)
+        assert INVARIANT_PLANE_FILE in report.invariants_violated()
+        assert any(
+            v.invariant == INVARIANT_PLANE_FILE and path in v.message
+            for v in report.violations
+        )
+        assert index.degraded
+        index.planes().close()
+
+
+def test_every_invariant_detectable():
+    """Belt and braces: the corruption battery above spans all five."""
     observed = set()
     for corrupt in (
         test_detects_mapping_inconsistency,
         test_detects_void_code_violation,
         test_detects_row_partition_violation,
         test_detects_stale_reduction_cache,
+        test_detects_plane_file_corruption,
     ):
         corrupt()
     # Each test asserted its own invariant; ALL_INVARIANTS names them.
@@ -203,8 +238,35 @@ def test_all_four_invariants_detectable():
         INVARIANT_VOID,
         INVARIANT_PARTITION,
         INVARIANT_CACHE,
+        INVARIANT_PLANE_FILE,
     }
     assert observed == set(ALL_INVARIANTS)
+
+
+def test_database_fsck_reports_corrupt_spilled_plane_file():
+    # Eight values over 4 partitions of 1,024 rows; a one-byte budget
+    # spills every partition on its first query.
+    db = Database(memory_budget_bytes=1)
+    try:
+        db.create_table(
+            "facts", {"v": [i % 8 for i in range(4096)]}, partitions=4
+        )
+        index = db.create_index("facts", "v")
+        db.query("facts", Equals("v", 3), QueryOptions(workers=1))
+        child = index.children[2]
+        assert child.planes_mapped
+        path = child.planes().path
+        assert all(report.ok for report in db.fsck().values())
+        flip_payload_byte(path, offset=8)
+        reports = db.fsck()
+        bad = reports["facts.v.p2"]
+        assert INVARIANT_PLANE_FILE in bad.invariants_violated()
+        assert any(path in v.message for v in bad.violations)
+        assert child.degraded
+        others = [label for label, r in reports.items() if not r.ok]
+        assert others == ["facts.v.p2"]
+    finally:
+        db.close()
 
 
 # ----------------------------------------------------------------------

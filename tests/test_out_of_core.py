@@ -12,12 +12,16 @@ Covers the spill/evict/fault-in tier end to end (docs/out_of_core.md):
 * the database-level wiring: ``memory_budget_bytes``, streaming
   queries under budget pressure, idempotent ``close()``, manifest
   round trip;
+* the one prefetch worker per manager, its shutdown on ``close()``,
+  and residency counters pinned across the streaming pipeline;
 * :class:`repro.storage.stats.IOStatistics` ledger reconciliation
   under buffer-pool eviction pressure.
 """
 
 import os
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -446,8 +450,6 @@ class TestDatabaseOutOfCore:
             streaming.close()
 
     def test_concurrent_acquires_never_torn(self, tmp_path):
-        import threading
-
         indexes = [
             _index([i % 5 for i in range(256)]) for _ in range(6)
         ]
@@ -506,6 +508,150 @@ class TestDatabaseOutOfCore:
 
         with pytest.raises(InvalidArgumentError):
             Database(memory_budget_bytes=-1)
+
+
+# ---------------------------------------------------------------------------
+# the prefetch worker
+# ---------------------------------------------------------------------------
+def _prefetch_threads():
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("ebi-prefetch")
+    }
+
+
+class TestPrefetchWorker:
+    # 8 partitions of 32,768 rows over 8 values: every plane file holds
+    # several 4K pages, and a one-byte budget keeps all of them spilled.
+    BUDGET = 1
+    ROWS = 8 * 32_768
+
+    #: ``residency_report()`` after :meth:`_script`, pinned from the
+    #: thread-per-partition prefetch that the worker replaced: the
+    #: worker and the bulk page counts must not move a counter.
+    PINNED = {
+        "spills": 8,
+        "faults": 19,
+        "promotions": 0,
+        "prefetches": 133,
+        "page_reads_logical": 1140,
+        "page_reads_physical": 608,
+        "page_writes": 32,
+        "pool_hits": 532,
+        "evictions": 8,
+    }
+
+    @staticmethod
+    def _predicates():
+        return [
+            InList("v", [i % 8, (3 * i + 1) % 8])
+            if i % 2
+            else Equals("v", i % 8)
+            for i in range(20)
+        ]
+
+    def _script(self, db, resident, options):
+        """Run the 20-query script, checking rows and ``c_e``."""
+        for predicate in self._predicates():
+            got = db.query("facts", predicate, options)
+            want = resident.query("facts", predicate, options)
+            assert np.array_equal(got.row_ids(), want.row_ids())
+            assert got.cost.vectors_accessed == want.cost.vectors_accessed
+
+    def test_one_worker_serves_every_partition(self, monkeypatch):
+        ran_on = set()
+        prefetch = ResidencyManager.prefetch
+
+        def recording(manager, partition_id):
+            ran_on.add(threading.current_thread())
+            prefetch(manager, partition_id)
+
+        monkeypatch.setattr(ResidencyManager, "prefetch", recording)
+        before = _prefetch_threads()
+        resident = _partitioned_db(None, rows=self.ROWS, partitions=8)
+        db = _partitioned_db(self.BUDGET, rows=self.ROWS, partitions=8)
+        try:
+            self._script(db, resident, QueryOptions(workers=1))
+            started = _prefetch_threads() - before
+            # Every prefetch ran on one thread, off the request thread.
+            assert started == ran_on
+            assert len(started) == 1
+            report = db.residency_report("facts")
+            assert report["mapped"] == 8
+            assert {key: report[key] for key in self.PINNED} == self.PINNED
+        finally:
+            db.close()
+            resident.close()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_prefetch_off_starts_no_worker(self):
+        before = _prefetch_threads()
+        resident = _partitioned_db(None, rows=self.ROWS, partitions=8)
+        db = _partitioned_db(self.BUDGET, rows=self.ROWS, partitions=8)
+        try:
+            self._script(
+                db, resident, QueryOptions(workers=1, prefetch=False)
+            )
+            assert _prefetch_threads() == before
+            report = db.residency_report("facts")
+            assert report["prefetches"] == 0
+            assert report["pool_hits"] == 0
+        finally:
+            db.close()
+            resident.close()
+
+    def test_concurrent_streams_share_one_worker(self):
+        # Four request threads (more than the cores of a small host)
+        # stream queries through one manager: their prefetches queue on
+        # the one worker, and every answer stays bit-identical.
+        before = _prefetch_threads()
+        resident = _partitioned_db(None, rows=self.ROWS, partitions=8)
+        db = _partitioned_db(self.BUDGET, rows=self.ROWS, partitions=8)
+        predicates = self._predicates()
+        expected = [
+            resident.query("facts", p).row_ids() for p in predicates
+        ]
+        errors = []
+
+        def stream(offset):
+            try:
+                for i in range(len(predicates)):
+                    j = (i + offset) % len(predicates)
+                    got = db.query(
+                        "facts", predicates[j], QueryOptions(workers=1)
+                    )
+                    assert np.array_equal(got.row_ids(), expected[j])
+            except Exception as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=stream, args=(t * 5,))
+                for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert len(_prefetch_threads() - before) == 1
+        finally:
+            sys.setswitchinterval(interval)
+            db.close()
+            resident.close()
+
+    def test_closed_manager_prefetches_nothing(self, tmp_path):
+        manager = ResidencyManager(str(tmp_path), memory_budget_bytes=1)
+        manager.register(0, _index([i % 4 for i in range(512)]))
+        manager.acquire(0)
+        manager.prefetch_async(0).result()
+        assert manager.report()["prefetches"] == 1
+        manager.close()
+        assert manager.prefetch_async(0) is None
 
 
 # ---------------------------------------------------------------------------
