@@ -1061,7 +1061,8 @@ def case_streaming_ingest(tolerance: float) -> List[Comparison]:
         )
         db.create_index("sales", "product")
         db.save(directory)
-        index = db.catalog.indexes_on("sales", "product")[0]
+        # The table has one partition; its child is the index.
+        index = db.catalog.indexes_on("sales", "product")[0].child(0)
         index.lookup(Equals("product", values[0]))  # warm the planes
         rebuilds_before = index.plane_rebuilds
 
@@ -1078,9 +1079,8 @@ def case_streaming_ingest(tolerance: float) -> List[Comparison]:
         rate = ingested / max(ingest_seconds, 1e-9)
         rebuilds_during = index.plane_rebuilds - rebuilds_before
 
-        table = db.table("sales")
         rebuilt = EncodedBitmapIndex(
-            table, "product", encoding=index.mapping
+            index.table, "product", encoding=index.mapping
         )
         row_mismatches = 0
         cost_mismatches = 0

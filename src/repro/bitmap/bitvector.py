@@ -96,13 +96,14 @@ class BitVector:
 
     @classmethod
     def concat(cls, vectors: Iterable["BitVector"]) -> "BitVector":
-        """Concatenate vectors end to end into one new vector.
+        """Concatenate vectors end to end into one vector.
 
-        Fast path: when every vector but the last is word-aligned
-        (a multiple of 64 bits — how :mod:`repro.shard` sizes its
-        row-range partitions), the word arrays are concatenated
-        directly.  Otherwise the boolean masks are joined, which is
-        still a bulk numpy operation.
+        The inputs are handed over: a single vector comes back as is,
+        not copied.  Fast path: when every vector but the last is
+        word-aligned (a multiple of 64 bits — how :mod:`repro.shard`
+        sizes its row-range partitions), the word arrays are
+        concatenated directly.  Otherwise the boolean masks are
+        joined, which is still a bulk numpy operation.
 
         >>> left = BitVector.from_bools([True, False])
         >>> right = BitVector.from_bools([True])
@@ -113,7 +114,7 @@ class BitVector:
         if not parts:
             return cls(0)
         if len(parts) == 1:
-            return parts[0].copy()
+            return parts[0]
         nbits = sum(part._nbits for part in parts)
         if all(part._nbits % WORD_BITS == 0 for part in parts[:-1]):
             words = np.concatenate([part._words for part in parts])

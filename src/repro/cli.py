@@ -202,8 +202,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         scenario.table.name, scenario.predicate, QueryOptions(trace=True)
     )
     # The cost-model comparison wants the Plan object itself — an
-    # internals concern the facade deliberately doesn't expose.
-    plan = Planner(db.catalog).plan(scenario.table, scenario.predicate)
+    # internals concern the facade deliberately doesn't expose.  The
+    # scenario's catalog holds the indexes the one partition runs.
+    plan = Planner(scenario.catalog).plan(scenario.table, scenario.predicate)
     assert result.trace is not None
     print(result.trace.render())
     print()

@@ -1,12 +1,17 @@
 """``repro.Database`` — the unified facade over the whole stack.
 
-One object ties together tables (plain or partitioned), index
-construction, planned/parallel query execution, EXPLAIN,
-persistence, and fsck — the pieces that previously had to be wired
-by hand through :class:`~repro.table.catalog.Catalog`,
-:class:`~repro.query.executor.Executor`,
+One object ties together tables, index construction, planned and
+partition-parallel query execution, EXPLAIN, persistence, and fsck —
+the pieces that previously had to be wired by hand through
+:class:`~repro.table.catalog.Catalog`,
 :class:`~repro.shard.executor.ParallelExecutor` and
 :mod:`repro.index.serialization`.
+
+Every table is a :class:`~repro.shard.partition.PartitionedTable`:
+``create_table(..., partitions=None)`` makes one partition holding
+every row, so each read, EXPLAIN, save and fsck takes the one
+partition path.  Index children, fsck labels and payload files are
+named per partition (``sales.product.p0``).
 
 Quickstart::
 
@@ -24,12 +29,14 @@ Quickstart::
 
 Saving writes a directory: a ``manifest.json`` with the table data
 (column values, void rows, partition bounds, index specs) plus one
-checksummed ``.ebi`` payload per encoded-bitmap index — per
-partition child for partitioned tables.  Loading rebuilds the lot;
-a damaged ``.ebi`` payload does not fail the load: the affected
-index (or partition child) is rebuilt from the base data and marked
-``degraded`` so the planner quarantines it until
-:meth:`Database.fsck` re-audits it.
+checksummed ``.ebi`` payload per partition child of each encoded or
+compressed index.  Loading rebuilds the lot; a damaged ``.ebi``
+payload does not fail the load: the affected partition child is
+rebuilt from the base data and marked ``degraded`` so the planner
+quarantines it until :meth:`Database.fsck` re-audits it.  A manifest
+entry without ``bounds`` (written before every table was
+partitioned) loads as one partition from its ``<table>.<column>.ebi``
+payloads.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ import os
 import tempfile
 import threading
 import time
-from contextlib import ExitStack
 from typing import (
     Any,
     Callable,
@@ -48,6 +54,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Union,
     cast,
 )
@@ -71,15 +78,10 @@ from repro.faults.crash import crash_point
 from repro.index.verify import FsckReport, verify_index
 from repro.index.verify import repair as repair_index
 from repro.obs.metrics import MetricsRegistry
-from repro.query.executor import Executor, QueryResult
-from repro.query.options import (
-    DEFAULT_OPTIONS,
-    QueryOptions,
-    check_deadline,
-    start_deadline,
-)
+from repro.query.executor import QueryResult
+from repro.query.options import DEFAULT_OPTIONS, QueryOptions
 from repro.query.predicates import Predicate
-from repro.query.snapshot import pinned_rows, published_rows
+from repro.query.snapshot import published_rows
 from repro.serving.result_cache import (
     CacheKey,
     ResultCache,
@@ -89,7 +91,7 @@ from repro.storage.wal import FileWriteAheadLog, WalRecord
 from repro.shard.executor import ParallelExecutor
 from repro.shard.index import PartitionedIndex
 from repro.shard.partition import Partition, PartitionedTable
-from repro.shard.reorder import reorder_partitioned, reorder_table
+from repro.shard.reorder import reorder_partitioned
 from repro.shard.residency import ResidencyManager
 from repro.table.catalog import Catalog
 from repro.table.table import Table
@@ -112,8 +114,6 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 WAL_NAME = "wal.log"
 
-AnyTable = Union[Table, PartitionedTable]
-
 
 class Database:
     """Facade over catalog, indexes, executors and persistence.
@@ -125,8 +125,8 @@ class Database:
         defaults to the calling thread's current registry per query.
     memory_budget_bytes:
         Out-of-core residency budget (``docs/out_of_core.md``): the
-        combined dense plane bytes partitioned tables may keep in RAM.
-        When set, each partitioned table gets a
+        combined dense plane bytes each table may keep in RAM.
+        When set, each table gets a
         :class:`~repro.shard.residency.ResidencyManager` that spills
         cold partitions' plane snapshots to CRC-headered plane files
         (LRU by last-query epoch) and faults them back in on demand —
@@ -152,7 +152,6 @@ class Database:
         #: Guards the lazily built per-table executor map — ``query``
         #: is part of the facade's thread-safe surface.
         self._lock = threading.Lock()
-        self._partitioned: Dict[str, PartitionedTable] = {}
         self._executors: Dict[str, ParallelExecutor] = {}
         #: One entry per ``create_index`` call: table, column, kind.
         self._index_specs: List[Dict[str, str]] = []
@@ -181,7 +180,7 @@ class Database:
         #: query opts in via ``QueryOptions(use_cache=True)``.
         self.result_cache = ResultCache()  # ebi: shared-readonly
         #: Lazily-built per-table residency managers (only when a
-        #: memory budget is configured and the table is partitioned).
+        #: memory budget is configured).
         self._residency: Dict[str, ResidencyManager] = {}
 
     # ------------------------------------------------------------------
@@ -194,15 +193,38 @@ class Database:
         *,
         registry: Optional[MetricsRegistry] = None,
     ) -> "Database":
-        """Wrap an already-populated catalog (CLI scenarios, tests)."""
+        """Wrap an already-populated catalog (CLI scenarios, tests).
+
+        Each registered table becomes a one-partition table over the
+        same :class:`~repro.table.table.Table`, and each index its
+        partition's child: no index is rebuilt or attached twice.
+        """
         db = cls(registry=registry)
-        db.catalog = catalog
+        for table in catalog.tables():
+            db.catalog.register_table(
+                cast(Table, PartitionedTable(table.name, [Partition(0, 0, table)]))
+            )
         for index in catalog.all_indexes():
+            db.catalog.register_index(
+                PartitionedIndex(
+                    db.table(index.table.name),
+                    index.column_name,
+                    factory=lambda _table, _column, child=index: child,
+                ),
+                attach=False,
+            )
+            # The spec names the INDEX_KINDS key, which load rebuilds
+            # from (an index's own ``kind`` tag, e.g. "encoded-bitmap",
+            # is not one).
+            kind = next(
+                (k for k, build in INDEX_KINDS.items() if type(index) is build),
+                getattr(index, "kind", "encoded"),
+            )
             db._index_specs.append(
                 {
                     "table": index.table.name,
-                    "column": getattr(index, "column_name", ""),
-                    "kind": getattr(index, "kind", "encoded"),
+                    "column": index.column_name,
+                    "kind": kind,
                 }
             )
         return db
@@ -213,14 +235,15 @@ class Database:
         columns: Union[Mapping[str, Sequence[Any]], Sequence[str]],
         *,
         partitions: Optional[int] = None,
-    ) -> AnyTable:
+    ) -> PartitionedTable:
         """Create a table from column data or a bare schema.
 
         ``columns`` is either a mapping of column name to values
         (the table is populated) or a sequence of column names (an
-        empty table).  ``partitions=N`` makes it a
-        :class:`~repro.shard.partition.PartitionedTable` with
-        word-aligned row-range partitions.
+        empty table).  The table is a
+        :class:`~repro.shard.partition.PartitionedTable`:
+        ``partitions=N`` splits its rows into up to ``N`` word-aligned
+        row-range partitions, ``None`` keeps them in one.
         """
         if isinstance(columns, Mapping):
             data: Mapping[str, Sequence[Any]] = columns
@@ -228,37 +251,19 @@ class Database:
             data = {column: [] for column in columns}
         if not data:
             raise SchemaError("a table needs at least one column")
-        table: AnyTable
-        if partitions is not None:
-            table = PartitionedTable.from_columns(
-                name, data, partitions=partitions
-            )
-            # Register with the catalog *before* recording the
-            # partitioned-table entry: registration is the step that
-            # rejects duplicate names, and recording first would leave
-            # ``_partitioned`` (and through it ``table()`` and the
-            # executor map) pointing at an unregistered table when it
-            # raises — the stale-facade bug the lifecycle regression
-            # test pins down.
-            self.catalog.register_table(cast(Table, table))
-            self._partitioned[name] = table
-        else:
-            table = Table.from_columns(name, dict(data))
-            self.catalog.register_table(table)
+        table = PartitionedTable.from_columns(
+            name, data, partitions=1 if partitions is None else partitions
+        )
+        self.catalog.register_table(cast(Table, table))
         self._bump_epoch(name)
         return table
 
-    def table(self, name: str) -> AnyTable:
+    def table(self, name: str) -> PartitionedTable:
         """The table registered under ``name`` (raises if absent)."""
-        if name in self._partitioned:
-            return self._partitioned[name]
-        return self.catalog.table(name)
+        return cast(PartitionedTable, self.catalog.table(name))
 
     def tables(self) -> List[str]:
         return sorted(table.name for table in self.catalog.tables())
-
-    def is_partitioned(self, name: str) -> bool:
-        return name in self._partitioned
 
     # ------------------------------------------------------------------
     # indexes
@@ -276,8 +281,7 @@ class Database:
         """Build and register an index on one column.
 
         ``kind`` selects the index class (see :data:`INDEX_KINDS`);
-        for partitioned tables one child of that kind is built per
-        partition behind a
+        one child of that kind is built per partition behind a
         :class:`~repro.shard.index.PartitionedIndex`.  ``factory``
         overrides the per-partition constructor entirely.
         """
@@ -288,31 +292,22 @@ class Database:
             )
         table = self.table(table_name)
         self._bump_epoch(table_name)
-        index: Index
-        if isinstance(table, PartitionedTable):
-            child_factory = factory or self._child_factory(
-                kind, encoding, options
-            )
-            index = PartitionedIndex(
-                table, column_name, factory=child_factory
-            )
-            self.catalog.register_index(index, attach=False)
-        else:
-            if encoding is not None:
-                options["encoding"] = encoding
-            index = INDEX_KINDS[kind](table, column_name, **options)
-            self.catalog.register_index(index)
+        index = PartitionedIndex(
+            table,
+            column_name,
+            factory=factory or self._child_factory(kind, encoding, options),
+        )
+        self.catalog.register_index(index, attach=False)
         self._index_specs.append(
             {"table": table_name, "column": column_name, "kind": kind}
         )
-        if isinstance(index, PartitionedIndex):
-            # A residency manager built before this index existed must
-            # track the new children too.
-            with self._lock:
-                manager = self._residency.get(table_name)
-            if manager is not None:
-                for i, child in enumerate(index.children):
-                    manager.register(i, child)
+        # A residency manager built before this index existed must
+        # track the new children too.
+        with self._lock:
+            manager = self._residency.get(table_name)
+        if manager is not None:
+            for i, child in enumerate(index.children):
+                manager.register(i, child)
         self._bump_epoch(table_name)
         return index
 
@@ -343,10 +338,10 @@ class Database:
     ) -> QueryResult:
         """Plan and run one selection.
 
+        The result is a
+        :class:`~repro.shard.executor.PartitionedQueryResult`.
         Everything per-call travels in
-        :class:`~repro.query.options.QueryOptions`: worker count for
-        partitioned tables (which return a
-        :class:`~repro.shard.executor.PartitionedQueryResult`),
+        :class:`~repro.query.options.QueryOptions`: worker count,
         snapshot pin, timeout, tenant stamp — and
         ``use_cache=True``, which serves repeat retrievals from
         :attr:`result_cache` bit-identically (rows *and* ``c_e``) to
@@ -376,7 +371,7 @@ class Database:
                     hit.tenant = opts.tenant
                     hit.wall_seconds = time.perf_counter() - start
                     return hit
-        result = self._query_uncached(table_name, predicate, opts)
+        result = self._executor(table_name).execute(predicate, opts)
         if (
             key is not None
             and not result.degraded
@@ -391,25 +386,6 @@ class Database:
         result.wall_seconds = time.perf_counter() - start
         return result
 
-    def _query_uncached(
-        self,
-        table_name: str,
-        predicate: Predicate,
-        opts: QueryOptions,
-    ) -> QueryResult:
-        if table_name in self._partitioned:
-            return self._executor(table_name).execute(predicate, opts)
-        deadline = start_deadline(opts)
-        executor = Executor(self.catalog, registry=self.registry)
-        table = self.catalog.table(table_name)
-        with ExitStack() as stack:
-            if opts.snapshot_rows is not None:
-                stack.enter_context(
-                    pinned_rows(table, rows=opts.snapshot_rows)
-                )
-            check_deadline(deadline, opts)
-            return executor.select(table, predicate, trace=opts.trace)
-
     def query_many(  # ebi: worker-entry
         self,
         table_name: str,
@@ -419,7 +395,7 @@ class Database:
         """Run a batch of selections against one row snapshot.
 
         The whole batch is evaluated under one pinned row watermark
-        (for partitioned tables, per partition inside
+        per partition (inside
         :meth:`~repro.shard.executor.ParallelExecutor.execute_many`),
         so every answer sees the same rows.  Per-call configuration
         travels in ``options`` exactly as for :meth:`query`; the batch
@@ -429,31 +405,9 @@ class Database:
         of the batch.
         """
         opts = options if options is not None else DEFAULT_OPTIONS
-        predicates = list(predicates)
-        if table_name in self._partitioned:
-            return list(
-                self._executor(table_name).execute_many(
-                    predicates, opts
-                )
-            )
-        deadline = start_deadline(opts)
-        executor = Executor(self.catalog, registry=self.registry)
-        table = self.catalog.table(table_name)
-        # Pin the published-row watermark for the whole batch so a
-        # concurrent ingester cannot produce torn results (queries
-        # early in the batch seeing fewer rows than later ones); a
-        # caller-supplied ``snapshot_rows`` pins tighter.
-        with pinned_rows(table, rows=opts.snapshot_rows):
-            results = []
-            for predicate in predicates:
-                check_deadline(deadline, opts)
-                results.append(
-                    executor.execute(
-                        executor.planner.plan(table, predicate),
-                        trace=opts.trace,
-                    )
-                )
-            return results
+        return list(
+            self._executor(table_name).execute_many(predicates, opts)
+        )
 
     # ------------------------------------------------------------------
     # ingest (WAL-logged when a durable home is attached)
@@ -585,8 +539,8 @@ class Database:
         ``"gray"`` or ``"hist"``; ``"unordered"`` is the identity)
         per partition — partition boundaries are preserved — and
         rebuilds every attached index under the table's write lock.
-        Returns the per-partition permutations (one entry for a plain
-        table), which are also recorded for the manifest so a saved
+        Returns the per-partition permutations, which are also
+        recorded for the manifest so a saved
         database remembers how its rows map back to arrival order.
 
         When a durable home is attached, the reorder commits a new
@@ -597,12 +551,7 @@ class Database:
         table = self.table(table_name)
         with self._ingest_lock:
             self._bump_epoch(table_name)
-            if isinstance(table, PartitionedTable):
-                permutations = reorder_partitioned(
-                    table, columns, ordering
-                )
-            else:
-                permutations = [reorder_table(table, columns, ordering)]
+            permutations = reorder_partitioned(table, columns, ordering)
             self._reorders[table_name] = {
                 "ordering": ordering,
                 "columns": (
@@ -631,7 +580,7 @@ class Database:
         return None if info is None else dict(info)
 
     @staticmethod
-    def _normalise_row(table: AnyTable, row: Any) -> Dict[str, Any]:
+    def _normalise_row(table: PartitionedTable, row: Any) -> Dict[str, Any]:
         if isinstance(row, Mapping):
             return dict(row)
         values = list(row)
@@ -643,18 +592,9 @@ class Database:
         return dict(zip(names, values))
 
     def explain(self, table_name: str, predicate: Predicate) -> str:
-        """EXPLAIN without reading any vectors.
-
-        Partitioned tables render one plan per partition with row
-        spans; plain tables render the classic single plan.
-        """
-        if table_name in self._partitioned:
-            return self._executor(table_name).explain(predicate)
-        executor = Executor(self.catalog, registry=self.registry)
-        plan = executor.planner.plan(
-            self.catalog.table(table_name), predicate
-        )
-        return plan.explain()
+        """EXPLAIN without reading any vectors: one plan per
+        partition, with its row span."""
+        return self._executor(table_name).explain(predicate)
 
     def _executor(self, table_name: str) -> ParallelExecutor:
         with self._lock:
@@ -664,7 +604,7 @@ class Database:
         # Build outside the lock (the residency manager may be built
         # on first use); first-one-in wins on concurrent misses.
         built = ParallelExecutor(
-            self._partitioned[table_name],
+            self.table(table_name),
             registry=self.registry,
             residency=self._residency_for(table_name),
         )
@@ -679,14 +619,11 @@ class Database:
     ) -> Optional[ResidencyManager]:
         """The table's residency manager (built on first use).
 
-        ``None`` unless a memory budget is configured and the table is
-        partitioned.  Plane files live under the durable home's
+        ``None`` unless a memory budget is configured.  Plane files live under the durable home's
         ``residency/`` subdirectory when one is attached, else in a
         throwaway temp directory.
         """
         if self.memory_budget_bytes is None:
-            return None
-        if table_name not in self._partitioned:
             return None
         with self._lock:
             manager = self._residency.get(table_name)
@@ -707,10 +644,7 @@ class Database:
             manager = self._residency.setdefault(table_name, built)
         if manager is built:
             for index in self.catalog.all_indexes():
-                if (
-                    isinstance(index, PartitionedIndex)
-                    and index.table.name == table_name
-                ):
+                if index.table.name == table_name:
                     for i, child in enumerate(index.children):
                         manager.register(i, child)
         return manager
@@ -772,7 +706,9 @@ class Database:
     # integrity
     # ------------------------------------------------------------------
     def fsck(self, *, repair: bool = False) -> Dict[str, FsckReport]:
-        """Audit every encoded-bitmap index (partition children too).
+        """Audit every encoded-bitmap partition child.
+
+        Reports are keyed ``<table>.<column>.p<partition>``.
 
         Each audited index's ``degraded`` flag is updated from the
         verdict — a failing index is quarantined from planning, a
@@ -790,23 +726,12 @@ class Database:
         return reports
 
     def _encoded_indexes(self) -> List[Any]:
-        found: List[Any] = []
-        for index in self.catalog.all_indexes():
-            if isinstance(index, PartitionedIndex):
-                for i, child in enumerate(index.children):
-                    if isinstance(child, EncodedBitmapIndex):
-                        found.append(
-                            (
-                                f"{index.table.name}."
-                                f"{index.column_name}.p{i}",
-                                child,
-                            )
-                        )
-            elif isinstance(index, EncodedBitmapIndex):
-                found.append(
-                    (f"{index.table.name}.{index.column_name}", index)
-                )
-        return found
+        return [
+            (f"{index.table.name}.{index.column_name}.p{i}", child)
+            for index in self.catalog.all_indexes()
+            for i, child in enumerate(index.children)
+            if isinstance(child, EncodedBitmapIndex)
+        ]
 
     # ------------------------------------------------------------------
     # persistence
@@ -814,10 +739,10 @@ class Database:
     def save(self, directory: str) -> None:
         """Write the database to a directory, crash-consistently.
 
-        ``manifest.json`` carries the table data and index specs;
-        every encoded-bitmap index adds one checksummed ``.ebi``
-        payload (per partition child for partitioned tables) that
-        :meth:`load` verifies and :meth:`fsck` can audit offline.
+        ``manifest.json`` carries the table data, partition bounds
+        and index specs; every encoded or compressed partition child
+        adds one checksummed ``.ebi`` payload that :meth:`load`
+        verifies and :meth:`fsck` can audit offline.
 
         Durability protocol (see docs/robustness.md): payloads first,
         then the manifest through a fsynced temp file and an atomic
@@ -837,45 +762,33 @@ class Database:
         }
         if self.memory_budget_bytes is not None:
             manifest["memory_budget_bytes"] = self.memory_budget_bytes
-        for table in self.catalog.tables():
-            name = table.name
+        for registered in self.catalog.tables():
+            name = registered.name
+            table = self.table(name)
             entry: Dict[str, Any] = {
                 "name": name,
-                "partitioned": name in self._partitioned,
                 "columns": {
                     column: list(table.column(column).values())
                     for column in table.column_names
                 },
                 "void_rows": sorted(table.void_rows()),
+                "bounds": [p.offset for p in table.partitions]
+                + [len(table)],
             }
-            if name in self._partitioned:
-                ptable = self._partitioned[name]
-                bounds = [p.offset for p in ptable.partitions]
-                bounds.append(len(ptable))
-                entry["bounds"] = bounds
             if name in self._reorders:
                 entry["reorder"] = self._reorders[name]
             manifest["tables"].append(entry)
         expected = {MANIFEST_NAME, WAL_NAME}
         for index in self.catalog.all_indexes():
-            if isinstance(index, PartitionedIndex):
-                for i, child in enumerate(index.children):
-                    if isinstance(child, _PAYLOAD_KINDS):
-                        payload = self._payload_name(
-                            index.table.name, index.column_name, i
-                        )
-                        expected.add(payload)
-                        serialization.save(
-                            child, os.path.join(directory, payload)
-                        )
-            elif isinstance(index, _PAYLOAD_KINDS):
-                payload = self._payload_name(
-                    index.table.name, index.column_name
-                )
-                expected.add(payload)
-                serialization.save(
-                    index, os.path.join(directory, payload)
-                )
+            for i, child in enumerate(index.children):
+                if isinstance(child, _PAYLOAD_KINDS):
+                    payload = self._payload_name(
+                        index.table.name, index.column_name, i
+                    )
+                    expected.add(payload)
+                    serialization.save(
+                        child, os.path.join(directory, payload)
+                    )
         crash_point("database.save.payloads")
         path = os.path.join(directory, MANIFEST_NAME)
         tmp = path + ".tmp"
@@ -910,8 +823,10 @@ class Database:
 
     @staticmethod
     def _payload_name(
-        table: str, column: str, partition: Optional[int] = None
+        table: str, column: str, partition: Optional[int]
     ) -> str:
+        """``<table>.<column>.p<partition>.ebi``; ``partition=None``
+        names the single payload of a manifest entry without bounds."""
         if partition is None:
             return f"{table}.{column}.ebi"
         return f"{table}.{column}.p{partition}.ebi"
@@ -949,10 +864,15 @@ class Database:
             ),
         )
         db._generation = int(manifest.get("generation", 0))
+        unbounded: Set[str] = set()
         for entry in manifest["tables"]:
             db._load_table(entry)
+            if "bounds" not in entry:
+                unbounded.add(entry["name"])
         for spec in manifest.get("indexes", []):
-            db._load_index(directory, spec)
+            db._load_index(
+                directory, spec, unbounded=spec["table"] in unbounded
+            )
         return db
 
     @classmethod
@@ -1020,31 +940,21 @@ class Database:
             # The saved columns are already permuted; the metadata is
             # provenance (how row ids map back to arrival order).
             self._reorders[name] = entry["reorder"]
-        if entry.get("partitioned"):
-            bounds: List[int] = entry["bounds"]
-            parts: List[Partition] = []
-            for i in range(len(bounds) - 1):
-                lo, hi = bounds[i], bounds[i + 1]
-                chunk = Table.from_columns(
-                    f"{name}.p{i}",
-                    {
-                        column: values[lo:hi]
-                        for column, values in columns.items()
-                    },
-                )
-                parts.append(Partition(i, lo, chunk))
-            ptable = PartitionedTable(name, parts)
-            for row_id in entry.get("void_rows", []):
-                ptable.delete(row_id)
-            self._partitioned[name] = ptable
-            self.catalog.register_table(cast(Table, ptable))
-        else:
-            table = Table.from_columns(name, columns)
-            for row_id in entry.get("void_rows", []):
-                table.delete(row_id)
-            self.catalog.register_table(table)
+        # An entry without bounds predates one-partition tables: it
+        # held a single table, which loads as one partition.
+        nrows = len(next(iter(columns.values())))
+        table = PartitionedTable.from_bounds(
+            name, columns, entry.get("bounds", [0, nrows])
+        )
+        for row_id in entry.get("void_rows", []):
+            table.delete(row_id)
+        self.catalog.register_table(cast(Table, table))
 
-    def _load_index(self, directory: str, spec: Dict[str, str]) -> None:
+    def _load_index(
+        self, directory: str, spec: Dict[str, str], *, unbounded: bool
+    ) -> None:
+        """Rebuild one index spec; ``unbounded`` tables read the one
+        payload a manifest entry without bounds was saved with."""
         table_name = spec["table"]
         column_name = spec["column"]
         kind = spec["kind"]
@@ -1054,42 +964,28 @@ class Database:
             self.create_index(table_name, column_name, kind=kind)
             return
         expected_type = cast(type, INDEX_KINDS[kind])
-        table = self.table(table_name)
-        if isinstance(table, PartitionedTable):
-            damaged: List[int] = []
-            counter = iter(range(len(table.partitions)))
+        counter = iter(range(len(self.table(table_name).partitions)))
 
-            def factory(chunk: Table, column: str) -> Index:
-                i = next(counter)
-                path = os.path.join(
-                    directory,
-                    self._payload_name(table_name, column, i),
-                )
-                child = self._load_payload(
-                    path, chunk, column, expected_type
-                )
-                if child is None:
-                    damaged.append(i)
-                    return expected_type(chunk, column)
-                return child
-
-            index: Index = PartitionedIndex(
-                table, column_name, factory=factory
-            )
-            for i in damaged:
-                cast(PartitionedIndex, index).child(i).degraded = True
-            self.catalog.register_index(index, attach=False)
-        else:
+        def factory(chunk: Table, column: str) -> Index:
+            i = next(counter)
             path = os.path.join(
-                directory, self._payload_name(table_name, column_name)
+                directory,
+                self._payload_name(
+                    table_name, column, None if unbounded else i
+                ),
             )
-            loaded = self._load_payload(
-                path, table, column_name, expected_type
-            )
-            if loaded is None:
-                loaded = expected_type(table, column_name)
-                loaded.degraded = True
-            self.catalog.register_index(loaded)
+            child = self._load_payload(path, chunk, column, expected_type)
+            if child is None:
+                child = expected_type(chunk, column)
+                child.degraded = True
+            return child
+
+        self.catalog.register_index(
+            PartitionedIndex(
+                self.table(table_name), column_name, factory=factory
+            ),
+            attach=False,
+        )
         self._index_specs.append(dict(spec))
 
     @staticmethod

@@ -15,7 +15,6 @@ is selectable for the ablation benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -23,6 +22,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -103,8 +103,7 @@ def unpack_codes(
     return codes
 
 
-@dataclass(frozen=True)
-class SharedFunction:
+class SharedFunction(NamedTuple):
     """A leaf's retrieval function, derived once for every index whose
     mapping equals the one it was derived from.
 

@@ -40,8 +40,7 @@ Example::
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Union
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 from repro.errors import InvalidArgumentError
 
@@ -189,7 +188,8 @@ class MetricsRegistry:
         """The counter registered under ``name`` (created on demand)."""
         instrument = self._counters.get(name)
         if instrument is None:
-            self._check_name(name)
+            if not name or name in self._gauges or name in self._histograms:
+                self._check_name(name)  # raises
             parent = (
                 self._parent.counter(name)
                 if self._parent is not None
@@ -278,9 +278,16 @@ class MetricsRegistry:
         unchanged-gauge) entries are dropped so per-query metric dicts
         stay small.
         """
-        current = self.collect()
         changed: Dict[str, MetricValue] = {}
-        for name, value in current.items():
+        if not self._gauges and not self._histograms:
+            # Counters only (every private registry of the query path):
+            # plain subtraction.
+            for name, counter in self._counters.items():
+                diff = counter.value - before.get(name, 0)
+                if diff:
+                    changed[name] = diff
+            return changed
+        for name, value in self.collect().items():
             previous = before.get(name, 0)
             if name.endswith((".min", ".max")) or name in self._gauges:
                 if value != previous:
@@ -290,6 +297,23 @@ class MetricsRegistry:
             if diff:
                 changed[name] = diff
         return changed
+
+    def add(self, deltas: Mapping[str, MetricValue]) -> None:
+        """Increment counters by the integer entries of ``deltas`` (a
+        :meth:`snapshot` or :meth:`delta` of another registry).
+
+        Float entries (gauges, histogram totals) and histogram
+        extremes are skipped: last-write and extreme semantics do not
+        add up.
+        """
+        counters = self._counters
+        for name, value in deltas.items():
+            if type(value) is not int or name.endswith((".min", ".max")):
+                continue
+            counter = counters.get(name)
+            if counter is None:
+                counter = self.counter(name)
+            counter.inc(value)
 
     def scoped(self) -> MetricsScope:
         """Open a snapshot-delta window (see :class:`MetricsScope`)."""
@@ -409,8 +433,26 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     return previous
 
 
-@contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
+class _RegistryOverride:
+    """The context manager :func:`use_registry` returns (a class rather
+    than a generator: every partition of every query enters one)."""
+
+    __slots__ = ("_registry", "_previous")
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+        self._previous: Optional[MetricsRegistry] = None
+
+    def __enter__(self) -> MetricsRegistry:
+        self._previous = getattr(_THREAD_LOCAL, "registry", None)
+        _THREAD_LOCAL.registry = self._registry
+        return self._registry
+
+    def __exit__(self, *exc_info: object) -> None:
+        _THREAD_LOCAL.registry = self._previous
+
+
+def use_registry(registry: MetricsRegistry) -> _RegistryOverride:
     """Temporarily install ``registry`` for the *calling thread*.
 
     The override is thread-scoped rather than process-wide so that
@@ -424,12 +466,7 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     ...     registry is get_registry()
     True
     """
-    previous = getattr(_THREAD_LOCAL, "registry", None)
-    _THREAD_LOCAL.registry = registry
-    try:
-        yield registry
-    finally:
-        _THREAD_LOCAL.registry = previous
+    return _RegistryOverride(registry)
 
 
 def merge_metric_deltas(

@@ -93,7 +93,7 @@ class VectorAccess:
     roles: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
     #: Partition id when the access ran inside one partition of a
     #: partition-parallel query (see :mod:`repro.shard.executor`);
-    #: ``None`` for unpartitioned execution.
+    #: ``None`` when a bare :class:`~repro.query.executor.Executor` ran it.
     partition: Optional[int] = None
 
     def describe(self) -> List[str]:

@@ -39,9 +39,8 @@ class QueryOptions:
         describe work that did not happen).
     timeout_seconds:
         Deadline for the call.  The executors check it before
-        execution and between units of work — partitions on a
-        partitioned table, batch members in ``query_many`` on a plain
-        one — and raise :class:`~repro.errors.QueryTimeoutError` once
+        execution and between units of work — before every partition
+        and, inside one, before every batch member — and raise :class:`~repro.errors.QueryTimeoutError` once
         it has passed; no partial result escapes.
         :class:`repro.serving.Server` also fails a request whose
         deadline passed while it was queued and passes the remainder

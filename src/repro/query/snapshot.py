@@ -29,8 +29,7 @@ delta growth, and the pin guards result-universe length.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 _local = threading.local()
 
@@ -55,23 +54,35 @@ def published_rows(table: Any) -> int:
     return len(table)
 
 
-@contextmanager
-def pinned_rows(
-    table: Any, rows: Optional[int] = None
-) -> Iterator[int]:
+class _Pin:
+    """The context manager :func:`pinned_rows` returns (a class rather
+    than a generator: every partition of every query enters one)."""
+
+    __slots__ = ("_table", "_rows")
+
+    def __init__(self, table: Any, rows: Optional[int]) -> None:
+        self._table = table
+        self._rows = rows
+
+    def __enter__(self) -> int:
+        rows = self._rows
+        table = self._table
+        watermark = published_rows(table) if rows is None else int(rows)
+        _stack().append((table, watermark))
+        return watermark
+
+    def __exit__(self, *exc_info: object) -> None:
+        _stack().pop()
+
+
+def pinned_rows(table: Any, rows: Optional[int] = None) -> _Pin:
     """Pin ``table`` at a row watermark for the calling thread.
 
     ``rows`` defaults to the current :func:`published_rows`.  Nested
     pins shadow outer pins for the same table (innermost wins) and are
     restored on exit.
     """
-    watermark = published_rows(table) if rows is None else int(rows)
-    stack = _stack()
-    stack.append((table, watermark))
-    try:
-        yield watermark
-    finally:
-        stack.pop()
+    return _Pin(table, rows)
 
 
 def snapshot_rows(table: Any) -> Optional[int]:

@@ -57,16 +57,15 @@ def _domain_for(
 ) -> Optional[List[Any]]:
     """The union of mapping domains the column's indexes know.
 
-    Partitioned indexes contribute every child's partition-local
-    domain.  ``None`` when no index on the column exposes a mapping —
-    the caller falls back to the structural key.
+    Every partition child contributes its partition-local domain.
+    ``None`` when no index on the column exposes a mapping — the
+    caller falls back to the structural key.
     """
     values: List[Any] = []
     seen = set()
     found = False
     for index in catalog.indexes_on(table_name, column):
-        children = getattr(index, "children", None) or [index]
-        for child in children:
+        for child in index.children:
             mapping = getattr(child, "mapping", None)
             if mapping is None or not hasattr(mapping, "domain"):
                 continue

@@ -115,7 +115,8 @@ class SyntheticWorkload:
     skew:
         Zipf exponent shared by the value and tenant laws.
     partitions:
-        When set, :meth:`build` creates a partitioned table.
+        Partition count of the table :meth:`build` creates (``None``:
+        one partition).
     table / column:
         Override the table and indexed column the operations target —
         ``repro serve`` uses this to drive a *recovered* database

@@ -70,7 +70,7 @@ from repro.obs.metrics import (
     use_registry,
 )
 from repro.obs.trace import QueryTrace, StageTiming
-from repro.query.executor import Executor, QueryResult
+from repro.query.executor import QueryResult
 from repro.query.options import (
     DEFAULT_OPTIONS,
     QueryOptions,
@@ -79,7 +79,7 @@ from repro.query.options import (
 )
 from repro.query.planner import Plan, Planner
 from repro.query.predicates import Predicate
-from repro.query.snapshot import bounded_rows, pinned_rows
+from repro.query.snapshot import bounded_rows, pinned_rows, snapshot_rows
 from repro.shard.partition import Partition, PartitionedTable
 from repro.shard.scan import ColumnArrayCache, try_vector_scan
 
@@ -95,7 +95,8 @@ class PartitionSlice:
     """What one partition contributed to one merged query."""
 
     partition_id: int
-    rows: int
+    #: The partition's own result vector (local row ids).
+    vector: BitVector
     cost: LookupCost
     metrics: Dict[str, MetricValue]
     wall_seconds: float
@@ -107,6 +108,11 @@ class PartitionSlice:
     #: True when the partition ran the batch's shared plan for this
     #: query (see the module docstring) instead of planning itself.
     shared_plan: bool = False
+
+    @property
+    def rows(self) -> int:
+        """Rows the partition selected, counted when asked for."""
+        return self.vector.count()
 
 
 @dataclass
@@ -209,20 +215,25 @@ class ParallelExecutor:
         per query in partition-id order.
 
         ``options`` selects the worker count, snapshot pin, timeout
-        and prefetch.
+        and prefetch.  Without ``snapshot_rows``, a pin the calling
+        thread holds on the whole table
+        (:func:`~repro.query.snapshot.pinned_rows`) bounds the batch.
         """
         opts = options if options is not None else DEFAULT_OPTIONS
         predicates = list(predicates)
         if not predicates:
             return []
-        nworkers = self.workers if opts.workers is None else opts.workers
+        pinned = snapshot_rows(self.table)
+        if pinned is not None and opts.snapshot_rows is None:
+            opts = opts.replace(snapshot_rows=pinned)
+        partitions = self.table.partitions
+        nworkers = self._workers(opts)
         trace = opts.trace
         deadline = start_deadline(opts)
         registry = self._registry()
         wall = time.perf_counter()
-        cpu = time.process_time()
+        cpu = time.process_time() if trace else 0.0
 
-        partitions = self.table.partitions
         shared = [self._share(predicate) for predicate in predicates]
         if nworkers == 1:
             # Streaming pipeline: while partition i evaluates on this
@@ -241,19 +252,14 @@ class ParallelExecutor:
                 )
                 outcomes.append(
                     self._run_partition(
-                        partition,
-                        predicates,
-                        trace,
-                        snapshot_rows=opts.snapshot_rows,
-                        shared=shared,
+                        partition, predicates, opts, shared, deadline
                     )
                 )
                 if prefetcher is not None:
                     prefetcher.result()
         else:
             outcomes = self._run_threaded(
-                partitions, predicates, shared, trace, nworkers, opts,
-                deadline,
+                partitions, predicates, shared, nworkers, opts, deadline
             )
 
         results = self._merge(
@@ -276,6 +282,12 @@ class ParallelExecutor:
         self._publish(registry, predicates, shared, outcomes)
         return results
 
+    def _workers(self, opts: QueryOptions) -> int:
+        """Threads a call runs on: the requested count, capped at the
+        partition count (a thread beyond one per partition idles)."""
+        requested = self.workers if opts.workers is None else opts.workers
+        return min(requested, len(self.table.partitions))
+
     def _share(self, predicate: Predicate) -> Optional[SharedPlan]:
         """Plan ``predicate`` on its leader and derive each encoded
         leaf's function once; ``None`` when no partition's index
@@ -287,7 +299,7 @@ class ParallelExecutor:
         registry = MetricsRegistry()
         with use_registry(registry):
             for partition in self.table.partitions:
-                plan = Planner(partition.catalog).plan(
+                plan = partition.executor.planner.plan(
                     partition.table, predicate
                 )
                 if not plan.fallback_scan:
@@ -307,7 +319,6 @@ class ParallelExecutor:
         partitions: Sequence[Partition],
         predicates: Sequence[Predicate],
         shared: Sequence[Optional[SharedPlan]],
-        trace: bool,
         nworkers: int,
         opts: QueryOptions,
         deadline: Optional[float],
@@ -326,9 +337,9 @@ class ParallelExecutor:
                     self._run_partition,
                     partition,
                     predicates,
-                    trace,
-                    snapshot_rows=opts.snapshot_rows,
-                    shared=shared,
+                    opts,
+                    shared,
+                    deadline,
                 )
                 for partition in partitions
             ]
@@ -361,14 +372,14 @@ class ParallelExecutor:
         lines = [
             "PARTITIONED QUERY PLAN",
             f"  table: {self.table.name} "
-            f"({len(self.table.partitions)} partitions, "
-            f"workers={self.workers})",
+            f"({_partitions(len(self.table.partitions))}, "
+            f"workers={self._workers(DEFAULT_OPTIONS)})",
             f"  predicate: {predicate}",
             "  shared plan: "
             + ("none" if shared is None else f"made on #{shared.leader}"),
         ]
         for partition in self.table.partitions:
-            planner = Planner(partition.catalog)
+            planner = partition.executor.planner
             plan, reason = _bind(planner, partition, shared)
             if plan is None:
                 plan = planner.plan(partition.table, predicate)
@@ -409,10 +420,9 @@ class ParallelExecutor:
         self,
         partition: Partition,
         predicates: Sequence[Predicate],
-        trace: bool,
-        *,
-        snapshot_rows: Optional[int] = None,
-        shared: Optional[Sequence[Optional[SharedPlan]]] = None,
+        opts: QueryOptions,
+        shared: Sequence[Optional[SharedPlan]],
+        deadline: Optional[float],
     ) -> Tuple[List[_PartitionRecord], Dict[str, MetricValue]]:
         # Out-of-core hook: fault the partition in (page-accounted)
         # and let the LRU budget spill colder ones before evaluating.
@@ -420,11 +430,7 @@ class ParallelExecutor:
         if manager is not None:
             manager.acquire(partition.id)
         return run_partition_batch(
-            partition,
-            predicates,
-            trace,
-            snapshot_rows=snapshot_rows,
-            shared=shared,
+            partition, predicates, opts, shared=shared, deadline=deadline
         )
 
     @staticmethod
@@ -477,6 +483,7 @@ class ParallelExecutor:
             slices: List[PartitionSlice] = []
             vectors: List[BitVector] = []
             cost = LookupCost()
+            used_scan = degraded = False
             for partition, (records, _totals) in zip(
                 partitions, outcomes
             ):
@@ -488,10 +495,12 @@ class ParallelExecutor:
                 )
                 cost.node_accesses += part_result.cost.node_accesses
                 cost.rows_checked += part_result.cost.rows_checked
+                used_scan = used_scan or part_result.used_scan
+                degraded = degraded or part_result.degraded
                 slices.append(
                     PartitionSlice(
                         partition_id=partition.id,
-                        rows=part_result.vector.count(),
+                        vector=part_result.vector,
                         cost=part_result.cost,
                         metrics=part_result.metrics,
                         wall_seconds=record.wall_seconds,
@@ -506,8 +515,8 @@ class ParallelExecutor:
             merged = PartitionedQueryResult(
                 vector=BitVector.concat(vectors),
                 cost=cost,
-                used_scan=any(s.used_scan for s in slices),
-                degraded=any(s.degraded for s in slices),
+                used_scan=used_scan,
+                degraded=degraded,
                 metrics=merge_metric_deltas(
                     [plan_metrics, *(s.metrics for s in slices)]
                 ),
@@ -532,7 +541,7 @@ class ParallelExecutor:
         merged: PartitionedQueryResult,
     ) -> QueryTrace:
         plan_text = (
-            f"PARTITIONED ({len(partitions)} partitions, "
+            f"PARTITIONED ({_partitions(len(partitions))}, "
             f"workers={merged.workers}) WHERE {predicate}"
         )
         trace = QueryTrace(plan_text=plan_text)
@@ -559,58 +568,61 @@ class ParallelExecutor:
         ],
     ) -> None:
         """Fold the planning and partition-private registries into the
-        caller's.
-
-        Integer (counter) totals are replayed as increments in
-        partition order; float-valued entries (gauges, histogram
-        extremes) are skipped — last-write/extreme semantics don't
-        aggregate meaningfully across partitions.
-        """
-        totals = merge_metric_deltas(
-            [
-                *(plan.metrics for plan in shared if plan is not None),
-                *(snapshot for _records, snapshot in outcomes),
-            ]
+        caller's: counter totals are added in partition order
+        (:meth:`~repro.obs.metrics.MetricsRegistry.add`)."""
+        for plan in shared:
+            if plan is not None:
+                registry.add(plan.metrics)
+        for _records, snapshot in outcomes:
+            registry.add(snapshot)
+        joined = sum(
+            record.shared_plan for records, _ in outcomes for record in records
         )
-        for name, value in totals.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                continue
-            if name.endswith((".min", ".max")):
-                continue
-            registry.counter(name).inc(value)
+        if joined:
+            registry.counter("shard.shared_plan_partitions").inc(joined)
         registry.counter("shard.batches").inc()
         registry.counter("shard.queries").inc(len(predicates))
+
+
+def _partitions(count: int) -> str:
+    return f"{count} partition" + ("" if count == 1 else "s")
 
 
 def _bind(
     planner: Planner, partition: Partition, shared: Optional[SharedPlan]
 ) -> Tuple[Optional[Plan], str]:
     """The shared plan bound to ``partition`` (and ``""``), or ``None``
-    and why the partition plans itself."""
+    and why the partition plans itself.  The leader runs the plan it
+    was made on as is."""
     if shared is None:
         return None, "no index plan to share"
+    if shared.leader == partition.id:
+        return shared.plan, ""
     return planner.rebind(shared.plan, partition.table)
 
 
 def run_partition_batch(
     partition: Partition,
     predicates: Sequence[Predicate],
-    trace: bool = False,
+    options: QueryOptions = DEFAULT_OPTIONS,
     *,
-    snapshot_rows: Optional[int] = None,
     shared: Optional[Sequence[Optional[SharedPlan]]] = None,
+    deadline: Optional[float] = None,
 ) -> Tuple[List[_PartitionRecord], Dict[str, MetricValue]]:
     """Evaluate a predicate batch against one partition.
 
     The unit of work one worker thread (or the calling thread, with
     one worker) runs per partition.  Runs under a *private*
     metrics registry (returned as the snapshot half of the result) and
-    a pinned row watermark; ``snapshot_rows`` is a caller-supplied pin
-    in *global* row ids that clamps the partition to its slice of the
-    first ``snapshot_rows`` rows.  ``shared`` holds the batch's shared
-    plans, one per predicate; without them every predicate is planned
-    against the partition's own catalog.
+    a pinned row watermark; ``options.snapshot_rows`` is a
+    caller-supplied pin in *global* row ids that clamps the partition
+    to its slice of the first ``snapshot_rows`` rows.  ``shared`` holds
+    the batch's shared plans, one per predicate; without them every
+    predicate is planned against the partition's own catalog.
+    ``deadline`` (from :func:`~repro.query.options.start_deadline`) is
+    checked before every predicate.
     """
+    trace = options.trace
     registry = MetricsRegistry()
     records: List[_PartitionRecord] = []
     # Pin the partition's published-row watermark for the whole batch:
@@ -618,13 +630,16 @@ def run_partition_batch(
     # concurrent ingester appends to the tail partition
     # (repro.query.snapshot).
     bound: Optional[int] = None
-    if snapshot_rows is not None:
+    if options.snapshot_rows is not None:
         published = partition.table.published_rows()
-        bound = min(max(snapshot_rows - partition.offset, 0), published)
+        bound = min(
+            max(options.snapshot_rows - partition.offset, 0), published
+        )
     with use_registry(registry), pinned_rows(partition.table, rows=bound):
-        executor = Executor(partition.catalog)
+        executor = partition.executor
         arrays = ColumnArrayCache(partition.table)
         for q, predicate in enumerate(predicates):
+            check_deadline(deadline, options)
             start = time.perf_counter()
             plan: Optional[Plan] = None
             if shared is not None:
@@ -632,8 +647,6 @@ def run_partition_batch(
             joined = plan is not None
             if plan is None:
                 plan = executor.planner.plan(partition.table, predicate)
-            else:
-                registry.counter("shard.shared_plan_partitions").inc()
             result: Optional[QueryResult] = None
             vector_scan = False
             if plan.fallback_scan and not plan.degraded_columns:

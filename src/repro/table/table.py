@@ -10,7 +10,17 @@ updates and deletions so they stay consistent.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.bitmap.bitvector import BitVector
 from repro.table.column import Column
@@ -55,20 +65,23 @@ class Table:
 
     @classmethod
     def from_columns(
-        cls, name: str, columns: Dict[str, Sequence[Any]]
+        cls, name: str, columns: Mapping[str, Iterable[Any]]
     ) -> "Table":
         """Build a table from whole columns in one bulk step.
 
         Orders of magnitude faster than :meth:`append` in a loop for
         large tables because each column is extended once; observers
-        cannot exist yet, so no per-row notifications fire.
+        cannot exist yet, so no per-row notifications fire.  Columns
+        may be any iterables (:meth:`PartitionedTable.from_bounds
+        <repro.shard.partition.PartitionedTable.from_bounds>` passes
+        ``islice`` views).
         """
         table = cls(name, list(columns))
-        lengths = {col: len(values) for col, values in columns.items()}
-        if len(set(lengths.values())) > 1:
-            raise TableError(f"unequal column lengths: {lengths}")
         for col_name, values in columns.items():
             table._columns[col_name].extend(values)
+        lengths = {col: len(column) for col, column in table._columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise TableError(f"unequal column lengths: {lengths}")
         table._published_rows = len(table)
         return table
 
@@ -236,8 +249,10 @@ class Table:
     # index attachment
     # ------------------------------------------------------------------
     def attach(self, observer: Any) -> None:
-        """Register an index for change notifications."""
-        self._observers.append(observer)
+        """Register an index for change notifications (once: attaching
+        an attached observer again is a no-op)."""
+        if not any(known is observer for known in self._observers):
+            self._observers.append(observer)
 
     def detach(self, observer: Any) -> None:
         self._observers.remove(observer)

@@ -303,10 +303,10 @@ def test_wal_replay_of_batches_is_bit_identical(
     db.save(directory)
     for start in range(0, len(BATCH), 6):
         db.append_rows("T", [{"v": v} for v in BATCH[start:start + 6]])
-    live = db.catalog.indexes_on("T", "v")[0]
+    live = db.catalog.indexes_on("T", "v")[0].child(0)
 
     recovered = Database.recover(directory)
-    replayed = recovered.catalog.indexes_on("T", "v")[0]
+    replayed = recovered.catalog.indexes_on("T", "v")[0].child(0)
     assert replayed.mapping == live.mapping
     assert replayed.delta_rows() == live.delta_rows()
     for i in range(live.width):

@@ -101,9 +101,9 @@ def test_crash_point_recovers_consistent(point, tmp_path):
 
     # 3. bit-identical retrieval vs a from-scratch rebuild: same rows,
     # same c_e, for every domain value.
-    index = recovered.catalog.indexes_on("sales", "product")[0]
+    index = recovered.catalog.indexes_on("sales", "product")[0].child(0)
     rebuilt = EncodedBitmapIndex(
-        table, "product", encoding=index.mapping
+        index.table, "product", encoding=index.mapping
     )
     for product in PRODUCTS:
         expected = rebuilt.lookup(Equals("product", product))

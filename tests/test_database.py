@@ -4,6 +4,8 @@ persistence round-trips, and the fsck/degraded quarantine loop."""
 import json
 import os
 import random
+import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from repro.database import Database
 from repro.errors import CorruptIndexError, QueryTimeoutError, SchemaError
 from repro.index.encoded_bitmap import EncodedBitmapIndex
+from repro.index.simple_bitmap import SimpleBitmapIndex
 from repro.kernels import PlaneSet
 from repro.query.executor import Executor
 from repro.query.options import QueryOptions
@@ -18,6 +21,14 @@ from repro.query.predicates import Equals, InList, Range
 from repro.shard.executor import PartitionedQueryResult
 from repro.table.catalog import Catalog
 from repro.table.table import Table
+from tests.fixtures.make_unpartitioned_db import (
+    PREDICATES as FIXTURE_PREDICATES,
+)
+
+#: Saved before every table was partitioned (see the script beside it).
+UNPARTITIONED_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "unpartitioned_db"
+)
 
 
 def reference_rows(db, table_name, predicate):
@@ -52,8 +63,9 @@ class TestConstruction:
     def test_tables_and_partitioning(self):
         db = make_db()
         assert db.tables() == ["dim", "sales"]
-        assert db.is_partitioned("sales")
-        assert not db.is_partitioned("dim")
+        # A table created without ``partitions=`` is one partition.
+        assert len(db.table("sales").partitions) == 4
+        assert len(db.table("dim").partitions) == 1
         assert len(db.table("sales")) == 500
 
     def test_empty_schema_table(self):
@@ -77,11 +89,31 @@ class TestConstruction:
         catalog = Catalog()
         table = Table.from_columns("t", {"v": ["a", "b", "a", "c"]})
         catalog.register_table(table)
-        catalog.register_index(EncodedBitmapIndex(table, "v"))
+        index = catalog.register_index(EncodedBitmapIndex(table, "v"))
         db = Database.from_catalog(catalog)
         result = db.query("t", Equals("v", "a"))
         assert result.row_ids().tolist() == [0, 2]
-        assert "t.v" in db.fsck()
+        # The index is adopted as the one partition's child: not
+        # rebuilt, and attached to its table once.
+        (wrapped,) = db.catalog.indexes_on("t", "v")
+        assert wrapped.children == [index]
+        assert table._observers == [index]
+        db.append("t", {"v": "a"})
+        assert db.query("t", Equals("v", "a")).row_ids().tolist() == [
+            0, 2, 4,
+        ]
+        assert "t.v.p0" in db.fsck()
+
+    def test_from_catalog_round_trips_through_save(self, tmp_path):
+        catalog = Catalog()
+        table = Table.from_columns("t", {"v": ["a", "b", "a", "c"]})
+        catalog.register_table(table)
+        catalog.register_index(EncodedBitmapIndex(table, "v"))
+        Database.from_catalog(catalog).save(str(tmp_path))
+        loaded = Database.load(str(tmp_path))
+        result = loaded.query("t", Equals("v", "a"))
+        assert result.row_ids().tolist() == [0, 2]
+        assert not result.degraded
 
 
 class TestQueries:
@@ -146,11 +178,16 @@ class TestQueries:
         ]
 
     def test_explain_both_shapes(self):
+        """Tables with and without ``partitions=`` explain alike: one
+        plan per partition."""
         db = make_db()
         parted = db.explain("sales", Equals("product", 1))
         assert "PARTITIONED QUERY PLAN" in parted
-        plain = db.explain("dim", Equals("k", "x"))
-        assert "PARTITIONED" not in plain
+        assert "(4 partitions, workers=4)" in parted
+        single = db.explain("dim", Equals("k", "x"))
+        assert "PARTITIONED QUERY PLAN" in single
+        assert "(1 partition, workers=1)" in single
+        assert single.count("partition 0 [rows 0..4)") == 1
 
     def test_trace_round_trip(self):
         db = make_db()
@@ -162,8 +199,9 @@ class TestQueries:
 
 
 class TestPlainTableTimeouts:
-    """``timeout_seconds`` on a plain table is checked before execution
-    and between batch members, against a stepped clock."""
+    """``timeout_seconds`` on a table created without ``partitions=``
+    (one partition) is checked before execution and between batch
+    members, against a stepped clock."""
 
     DIM = [Equals("k", "x"), Equals("k", "y"), Equals("k", "z")]
 
@@ -217,10 +255,11 @@ class TestPersistence:
         assert (tmp_path / "manifest.json").exists()
         for i in range(4):
             assert (tmp_path / f"sales.product.p{i}.ebi").exists()
-        assert (tmp_path / "dim.k.ebi").exists()
+        assert (tmp_path / "dim.k.p0.ebi").exists()
 
         loaded = Database.load(str(tmp_path))
-        assert loaded.is_partitioned("sales")
+        assert len(loaded.table("sales").partitions) == 4
+        assert len(loaded.table("dim").partitions) == 1
         result = loaded.query("sales", predicate)
         assert np.array_equal(result.row_ids(), expected)
         assert not result.degraded
@@ -359,3 +398,106 @@ class TestDegradedLoop:
             result.row_ids().tolist()
             == reference_rows(db, "sales", predicate)
         )
+
+
+class TestOnePartitionTables:
+    """A table created without ``partitions=`` is a one-partition table
+    and takes the partitioned path everywhere."""
+
+    def test_factory_builds_the_child(self):
+        calls = []
+
+        def factory(table, column):
+            calls.append((table.name, column))
+            return SimpleBitmapIndex(table, column)
+
+        db = Database()
+        db.create_table("t", {"v": ["a", "b", "a", "c"]})
+        index = db.create_index("t", "v", factory=factory)
+        assert calls == [("t.p0", "v")]
+        assert isinstance(index.child(0), SimpleBitmapIndex)
+        assert db.query("t", Equals("v", "a")).row_ids().tolist() == [0, 2]
+
+    def test_default_read_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        db = make_db()
+        result = db.query("dim", InList("k", ["x", "z"]), QueryOptions())
+        batch = db.query_many("dim", [Equals("k", "y")], QueryOptions())
+        assert started == []
+        assert result.workers == 1
+        assert result.row_ids().tolist() == [0, 2, 3]
+        assert batch[0].row_ids().tolist() == [1]
+        # The same default fans a four-partition table out to threads.
+        db.query("sales", Equals("product", 3), QueryOptions())
+        assert started
+
+    def test_memory_budget_spills_and_answers_identically(self):
+        values = [(i * 11) % 37 for i in range(5000)]
+        budgeted = Database(memory_budget_bytes=1000)
+        plain = Database()
+        for db in (budgeted, plain):
+            db.create_table("t", {"v": values})
+            db.create_index("t", "v")
+        try:
+            for predicate in (
+                Equals("v", 5),
+                InList("v", [1, 2, 3]),
+                Range("v", 10, 20),
+            ):
+                got = budgeted.query("t", predicate)
+                want = plain.query("t", predicate)
+                assert np.array_equal(got.row_ids(), want.row_ids())
+                assert got.cost.vectors_accessed == want.cost.vectors_accessed
+            report = budgeted.residency_report("t")
+            assert report is not None
+            assert report["spills"] >= 1
+            assert report["faults"] >= 1
+            assert plain.residency_report("t") is None
+        finally:
+            budgeted.close()
+            plain.close()
+
+    def test_directory_saved_without_bounds_recovers(self, tmp_path):
+        directory = tmp_path / "db"
+        shutil.copytree(UNPARTITIONED_FIXTURE, directory)
+        expected = json.loads((directory / "expected.json").read_text())
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert "bounds" not in manifest["tables"][0]
+
+        db = Database.recover(str(directory))
+        try:
+            table = db.table("t")
+            assert [p.offset for p in table.partitions] == [0]
+            assert len(table) == 209  # 200 saved + 9 replayed
+            assert table.is_void(17)
+            for index in db.catalog.all_indexes():
+                assert not index.degraded
+            for text, predicate in FIXTURE_PREDICATES:
+                result = db.query("t", predicate)
+                assert not result.degraded, text
+                assert result.row_ids().tolist() == expected[text]["rows"]
+                assert result.cost.vectors_accessed == expected[text]["c_e"]
+            assert all(report.ok for report in db.fsck().values())
+
+            # The next save writes bounds and per-partition payloads
+            # and drops the single-payload files.
+            db.save(str(directory))
+            names = set(os.listdir(directory))
+            assert {"t.v.p0.ebi", "t.w.p0.ebi"} <= names
+            assert not {"t.v.ebi", "t.w.ebi"} & names
+            manifest = json.loads((directory / "manifest.json").read_text())
+            assert manifest["tables"][0]["bounds"] == [0, 209]
+        finally:
+            db.close()
+        reloaded = Database.load(str(directory))
+        for text, predicate in FIXTURE_PREDICATES:
+            result = reloaded.query("t", predicate)
+            assert result.row_ids().tolist() == expected[text]["rows"]
+            assert result.cost.vectors_accessed == expected[text]["c_e"]

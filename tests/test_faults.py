@@ -289,7 +289,7 @@ def database_bitrot():
     from repro.database import Database
 
     _, directory = _saved_database()
-    payload_path = os.path.join(directory, "t.v.ebi")
+    payload_path = os.path.join(directory, "t.v.p0.ebi")
     blob = bytearray(open(payload_path, "rb").read())
     blob[len(blob) // 2] ^= 0x04
     with open(payload_path, "wb") as handle:
@@ -297,7 +297,7 @@ def database_bitrot():
     recovered = Database.recover(directory)
     index = recovered.catalog.indexes_on("t", "v")[0]
     assert index.degraded
-    report = recovered.fsck(repair=True)["t.v"]
+    report = recovered.fsck(repair=True)["t.v.p0"]
     assert report.ok
 
 

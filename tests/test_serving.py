@@ -327,7 +327,6 @@ class TestServer:
         self, deadline_clock
     ):
         db = make_db(rows=96)
-        assert not db.is_partitioned("sales")
         server = Server(database=db, workers=1)
         try:
             # Real time keeps the request inside its deadline while it
